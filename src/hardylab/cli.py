@@ -7,9 +7,10 @@ scenario pipelines), ``list-presets``.  Exit codes are a stable contract:
 indeterminate.
 
 Configuration comes from an INI file with sections ``instance``,
-``quadrature``, ``verification``, ``scan``, ``output``; environment
-variables prefixed ``HARDYLAB_`` override the file, and command line flags
-override both.  See ``docs/config.md``.
+``verification``, ``scan``, ``output``; environment variables prefixed
+``HARDYLAB_`` override the file, and command line flags override both.
+Unknown sections, unknown keys outside ``[instance]`` and malformed files
+are config errors.  See ``docs/config.md``.
 """
 
 from __future__ import annotations
@@ -49,18 +50,16 @@ EXIT_MATH = 1
 EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
 
-SECTIONS = ("instance", "quadrature", "verification", "scan", "output")
+SECTIONS = ("instance", "verification", "scan", "output")
 
 DEFAULTS = {
     "instance": {},
-    "quadrature": {"tol": "1e-8", "tol_abs": "1e-12", "max_depth": "40"},
     "verification": {
         "family": "mixed",
         "count": "50",
         "seed": "7",
         "which": "both",
         "tol": "1e-8",
-        "jobs": "1",
         "grid": "10000",
     },
     "scan": {
@@ -148,13 +147,16 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     cfg = {section: dict(values) for section, values in DEFAULTS.items()}
     if path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise InvalidParamsError(f"config file {path!r} not found")
-        for section in parser.sections():
-            if section not in SECTIONS:
-                raise InvalidParamsError(f"unknown config section [{section}]")
-            cfg.setdefault(section, {}).update(dict(parser[section]))
+        try:
+            read = parser.read(path)
+            if not read:
+                raise InvalidParamsError(f"config file {path!r} not found")
+            for section in parser.sections():
+                if section not in SECTIONS:
+                    raise InvalidParamsError(f"unknown config section [{section}]")
+                cfg[section].update(dict(parser[section]))
+        except configparser.Error as err:
+            raise InvalidParamsError(f"malformed config file {path!r}: {err}") from err
     for name, value in os.environ.items():
         if not name.startswith("HARDYLAB_"):
             continue
@@ -166,6 +168,12 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
                 break
     for section, values in (overrides or {}).items():
         cfg[section].update({k: v for k, v in values.items() if v is not None})
+    for section in ("verification", "scan", "output"):
+        for key in cfg[section]:
+            if key not in DEFAULTS[section] and not (
+                section == "scan" and (key.startswith("box_") or key == "max_ratio")
+            ):
+                raise InvalidParamsError(f"unknown key {key!r} in [{section}]")
     return cfg
 
 
@@ -212,10 +220,6 @@ def _build_raw_instance(section: dict) -> HardyInstance:
     return make_instance(domain, p, u, phi, sigma, beta, params=params)
 
 
-def _quad_tol(cfg) -> float:
-    return float(cfg["quadrature"]["tol"])
-
-
 def _out_dir(cfg) -> Path:
     return Path(cfg["output"]["dir"])
 
@@ -237,12 +241,16 @@ def _write_atomic(path: Path, data: bytes):
 # commands
 
 
-def cmd_check(cfg: dict, label: str = "check") -> int:
+def _instance_or_none(cfg: dict, command: str) -> HardyInstance | None:
+    """The configured instance, or None after reporting a rejected exponent."""
     try:
-        inst = build_instance(cfg)
+        return build_instance(cfg)
     except (ExponentRangeError, IntegrabilityProbeError) as err:
-        print(f"check: exponent rejected: {err}")
-        return EXIT_MATH
+        print(f"{command}: exponent rejected: {err}")
+        return None
+
+
+def cmd_check(cfg: dict, inst: HardyInstance, label: str = "check") -> int:
     grid = int(cfg["verification"]["grid"])
     report = check_admissibility(inst, grid_size=grid)
     conditions = list(report.conditions)
@@ -275,14 +283,12 @@ def cmd_check(cfg: dict, label: str = "check") -> int:
     return worst_exit
 
 
-def cmd_verify(cfg: dict, label: str = "verify") -> int:
-    inst = build_instance(cfg)
+def cmd_verify(cfg: dict, inst: HardyInstance, label: str = "verify") -> int:
     v = cfg["verification"]
     count = int(v["count"])
     seed = int(v["seed"])
     family = v["family"]
     tol = float(v["tol"])
-    jobs = int(v["jobs"])
     which = v["which"]
     kinds = ("caccioppoli", "hardy") if which == "both" else (which,)
 
@@ -291,7 +297,7 @@ def cmd_verify(cfg: dict, label: str = "verify") -> int:
     witnesses = []
     try:
         for kind in kinds:
-            summary = batch_verify(inst, family, count, seed, which=kind, tol=tol, jobs=jobs)
+            summary = batch_verify(inst, family, count, seed, which=kind, tol=tol)
             for key, value in summary.counts.items():
                 totals[key] += value
             payload["batches"][kind] = {
@@ -327,8 +333,7 @@ def cmd_verify(cfg: dict, label: str = "verify") -> int:
     return EXIT_OK
 
 
-def cmd_scan(cfg: dict, label: str = "scan") -> int:
-    inst = build_instance(cfg)
+def cmd_scan(cfg: dict, inst: HardyInstance, label: str = "scan") -> int:
     s = cfg["scan"]
     box = {}
     for key, value in s.items():
@@ -385,16 +390,19 @@ def cmd_reproduce(name: str, cfg: dict) -> int:
     for section, values in scenario.items():
         merged.setdefault(section, {}).update(values)
     print(f"scenario {name}: check")
-    code = cmd_check(merged, label=f"{name}-check")
+    inst = _instance_or_none(merged, "check")
+    if inst is None:
+        return EXIT_MATH
+    code = cmd_check(merged, inst, label=f"{name}-check")
     if code != EXIT_OK:
         return code
     print(f"scenario {name}: verify")
-    code = cmd_verify(merged, label=f"{name}-verify")
+    code = cmd_verify(merged, inst, label=f"{name}-verify")
     if code != EXIT_OK:
         return code
     if "scan" in scenario:
         print(f"scenario {name}: scan")
-        code = cmd_scan(merged, label=f"{name}-scan")
+        code = cmd_scan(merged, inst, label=f"{name}-scan")
         if code != EXIT_OK:
             return code
     print(f"scenario {name}: ok")
@@ -425,9 +433,8 @@ def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="INI config file")
     common.add_argument("--seed", type=int, default=None, help="override RNG seed")
-    common.add_argument("--tol", type=float, default=None, help="override tolerances")
+    common.add_argument("--tol", type=float, default=None, help="override the verification tolerance")
     common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--jobs", type=int, default=None, help="worker threads for batches")
     sub.add_parser("check", parents=[common])
     sub.add_parser("verify", parents=[common])
     sub.add_parser("scan", parents=[common])
@@ -441,9 +448,7 @@ def _overrides(args) -> dict:
     seed = str(args.seed) if args.seed is not None else None
     tol = repr(args.tol) if args.tol is not None else None
     return {
-        "quadrature": {"tol": tol},
-        "verification": {"seed": seed, "tol": tol,
-                         "jobs": str(args.jobs) if args.jobs is not None else None},
+        "verification": {"seed": seed, "tol": tol},
         "scan": {"seed": seed},
         "output": {"dir": args.out},
     }
@@ -453,17 +458,17 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config, _overrides(args))
-        if args.command == "check":
-            return cmd_check(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "scan":
-            return cmd_scan(cfg)
         if args.command == "reproduce":
             return cmd_reproduce(args.scenario, cfg)
         if args.command == "list-presets":
             return cmd_list_presets(cfg)
-        return EXIT_USAGE
+        commands = {"check": cmd_check, "verify": cmd_verify, "scan": cmd_scan}
+        if args.command not in commands:
+            return EXIT_USAGE
+        inst = _instance_or_none(cfg, args.command)
+        if inst is None:
+            return EXIT_MATH
+        return commands[args.command](cfg, inst)
     except (ParseError, InvalidParamsError, KeyError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

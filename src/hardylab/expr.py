@@ -633,13 +633,16 @@ def _scan_grid(interval: Interval, grid: int) -> list[float]:
     return xs
 
 
-def _golden_argmin(fn, a, b, iters=40):
-    """Golden-section minimum of |fn| on (a, b); returns (x, |fn(x)|)."""
+def golden_min(fn, a, b, iters):
+    """Golden-section minimum of ``fn`` on (a, b); never evaluates the
+    endpoints, and points outside fn's domain count as +inf.  Returns the
+    better point of the final pair and its value, which is also the best
+    point seen: the search always keeps its best point inside the bracket."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
 
     def safe(x):
         try:
-            return abs(fn(x))
+            return fn(x)
         except EvalDomainError:
             return math.inf
 
@@ -696,7 +699,7 @@ def _fn_zeros(fn, xs: list[float]) -> tuple[list[float], list[float]]:
     graze_candidates.sort()
     for _, i in graze_candidates[:32]:
         local = abs(vals[i - 1]) + abs(vals[i + 1])
-        x_min, f_min = _golden_argmin(fn, xs[i - 1], xs[i + 1])
+        x_min, f_min = golden_min(lambda x: abs(fn(x)), xs[i - 1], xs[i + 1], 40)
         if f_min <= 1e-9 * (1.0 + local):
             if f_min == 0.0:
                 seen.append(x_min)

@@ -18,6 +18,7 @@ from scipy.optimize import minimize
 from .errors import InvalidParamsError, VacuousInstanceError
 from .expr import Interval
 from .instance import HardyInstance, build_measures
+from .quadrature import DEFAULT_TOL_ABS
 from .verify import TestFunction, _run_hardy, power_bump
 
 
@@ -158,7 +159,7 @@ def ratio(inst: HardyInstance, xi: TestFunction, tol: float = 1e-6) -> float:
     if inst.vacuous:
         raise VacuousInstanceError("instance has an identically-zero left weight")
     mu1, mu2 = build_measures(inst)
-    rep = _run_hardy(inst, xi, mu1, mu2, tol, retried=True)
+    rep = _run_hardy(inst, xi, mu1, mu2, tol, DEFAULT_TOL_ABS)
     if rep.lhs.value <= rep.lhs.error_bound:
         raise VacuousInstanceError(
             f"left side {rep.lhs.value!r} is within its error bound"

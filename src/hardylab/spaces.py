@@ -19,7 +19,7 @@ from .errors import (
     IntegrabilityProbeError,
     NoFiniteBracketError,
 )
-from .expr import Expr, Interval, abs_, compile_fn, differentiate, pow_, singular_points
+from .expr import Expr, Interval, abs_, compile_fn, differentiate, golden_min, pow_, singular_points
 from .quadrature import (
     DEFAULT_TOL,
     DEFAULT_TOL_ABS,
@@ -31,7 +31,16 @@ from .quadrature import (
 P_LOWER_MARGIN = 1e-9
 P_UPPER_CAP = 1e6
 EXHAUSTION_LEVELS = (4, 16, 64)
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+@dataclass(frozen=True)
+class Integrand:
+    """A function to integrate, zero outside ``support`` (the whole domain
+    when None), with the interior points where it is not smooth."""
+
+    fn: Callable[[float], float]
+    support: Interval | None = None
+    split_points: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -45,34 +54,6 @@ class VariableExponent:
 
     def __call__(self, x: float) -> float:
         return compile_fn(self.p)(x)
-
-
-def _golden_refine(fn, lo, hi, maximize, iters=48):
-    """Golden-section extremum of fn on (lo, hi); never evaluates endpoints."""
-    sign = -1.0 if maximize else 1.0
-
-    def safe(x):
-        try:
-            return sign * fn(x)
-        except EvalDomainError:
-            return math.inf
-
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = safe(x1), safe(x2)
-    best = min(f1, f2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = safe(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = safe(x2)
-        best = min(best, f1, f2)
-    return sign * best if math.isfinite(best) else None
 
 
 def validate_exponent(p: Expr, domain: Interval, grid: int = 4096) -> VariableExponent:
@@ -116,12 +97,13 @@ def validate_exponent(p: Expr, domain: Interval, grid: int = 4096) -> VariableEx
         cell_lo = xs[idx - 1] if idx > 0 else window.lo
         cell_hi = xs[idx + 1] if idx + 1 < len(xs) else window.hi
         if cell_lo < cell_hi:
-            refined = _golden_refine(fn, cell_lo, cell_hi, maximize)
-            if refined is not None:
+            sign = -1.0 if maximize else 1.0
+            _, best = golden_min(lambda x: sign * fn(x), cell_lo, cell_hi, 48)
+            if math.isfinite(best):
                 if maximize:
-                    p_plus = max(p_plus, refined)
+                    p_plus = max(p_plus, -best)
                 else:
-                    p_minus = min(p_minus, refined)
+                    p_minus = min(p_minus, best)
     if p_plus > P_UPPER_CAP:
         raise ExponentRangeError(f"refined exponent {p_plus!r} looks unbounded")
 
@@ -159,6 +141,8 @@ def _probe_integrability(vp: VariableExponent) -> None:
 
 
 def _as_callable(f) -> Callable[[float], float]:
+    if isinstance(f, Integrand):
+        return f.fn
     if isinstance(f, Expr):
         return compile_fn(f)
     return f
@@ -174,9 +158,9 @@ def modular(
     """Integral of ``|f(x)|^p(x)`` against the measure ``mu`` (Lebesgue when
     omitted) over the exponent's domain intersected with f's support.
 
-    ``f`` may be a callable, an expression, or a test function carrying
-    ``support`` and ``split_points``; all recorded singular points become
-    quadrature splits.
+    ``f`` may be a callable, an expression, or an :class:`Integrand` or test
+    function carrying ``support`` and ``split_points``; all recorded singular
+    points become quadrature splits.
     """
     fn = _as_callable(f)
     p_fn = compile_fn(vp.p)
@@ -228,16 +212,12 @@ def luxemburg_norm(f, vp: VariableExponent, tol: float = 1e-9) -> float:
     converges; the bracket is capped at 1e12.
     """
     fn = _as_callable(f)
-
-    def scaled(lam):
-        g = lambda x: fn(x) / lam
-        for attr in ("support", "split_points"):
-            if hasattr(f, attr):
-                setattr(g, attr, getattr(f, attr))
-        return g
+    support = getattr(f, "support", None)
+    splits = getattr(f, "split_points", ())
 
     def objective(lam):
-        return modular(scaled(lam), vp, tol=tol, tol_abs=1e-13).value
+        scaled = Integrand(lambda x: fn(x) / lam, support, splits)
+        return modular(scaled, vp, tol=tol, tol_abs=1e-13).value
 
     m1 = objective(1.0)
     if m1 == 0.0:

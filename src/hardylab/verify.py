@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import InadmissibleInstanceError, InvalidTestFunctionError
+from .errors import InadmissibleInstanceError, InvalidParamsError, InvalidTestFunctionError
 from .expr import (
     Expr,
     Interval,
+    _fn_zeros,
     abs_,
     compile_fn,
     differentiate,
@@ -28,7 +30,7 @@ from .expr import (
     singular_points,
     to_string,
 )
-from .instance import HardyInstance, build_measures, check_admissibility
+from .instance import HardyInstance, WeightedMeasure, build_measures, check_admissibility
 from .quadrature import (
     DEFAULT_TOL,
     DEFAULT_TOL_ABS,
@@ -37,7 +39,7 @@ from .quadrature import (
     ZERO_RESULT,
     integrate,
 )
-from .spaces import modular
+from .spaces import Integrand, modular
 
 PASS = "pass"
 FAIL = "fail"
@@ -227,14 +229,7 @@ def _require_support_inside(tf: TestFunction, domain: Interval):
         )
 
 
-def _derivative_view(tf: TestFunction):
-    g = lambda x: tf.derivative(x)
-    g.support = tf.support
-    g.split_points = tf.split_points
-    return g
-
-
-def _tlogt_view(tf: TestFunction):
+def _tlogt_view(tf: TestFunction) -> Integrand:
     def g(x):
         v = tf(x)
         if v <= 0.0:
@@ -243,13 +238,22 @@ def _tlogt_view(tf: TestFunction):
 
     # t log t vanishes again at t = 1; |g|^p has a kink wherever tf crosses
     # 1, so those crossings become quadrature splits
-    from .expr import _fn_zeros
-
     xs = tf.support.midpoint_grid(512)
     crossings, _ = _fn_zeros(lambda x: tf(x) - 1.0, xs)
-    g.support = tf.support
-    g.split_points = tuple(sorted(set(tf.split_points) | set(crossings)))
-    return g
+    return Integrand(g, tf.support, tuple(sorted(set(tf.split_points) | set(crossings))))
+
+
+def _with_retry(run, tol: float) -> VerificationReport:
+    """One pass of ``run(tol, tol_abs)``; an indeterminate verdict is rerun
+    once at a hundredfold tighter tolerance, with the absolute floor scaled
+    to the problem's magnitude."""
+    rep = run(tol, DEFAULT_TOL_ABS)
+    if rep.verdict != INDETERMINATE:
+        return rep
+    scale = max(abs(rep.lhs.value), abs(rep.rhs_main.value), abs(rep.rhs_log.value), 1e-300)
+    rep = run(tol / 100.0, max(scale * tol * 1e-4, 1e-300))
+    rep.retried = True
+    return rep
 
 
 def verify_caccioppoli(inst: HardyInstance, phi: TestFunction, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -266,10 +270,10 @@ def verify_caccioppoli(inst: HardyInstance, phi: TestFunction, tol: float = DEFA
         )
     _require_support_inside(phi, inst.domain)
     mu1, _ = build_measures(inst)
-    return _run_caccioppoli(inst, phi, mu1, tol)
+    return _with_retry(partial(_run_caccioppoli, inst, phi, mu1), tol)
 
 
-def _run_caccioppoli(inst, phi, mu1, tol, retried=False):
+def _run_caccioppoli(inst, phi, mu1, tol, tol_abs):
     p_fn = compile_fn(inst.vp.p)
     dens1 = mu1.density_fn()
     sigma_fn = compile_fn(inst.sigma)
@@ -320,19 +324,12 @@ def _run_caccioppoli(inst, phi, mu1, tol, retried=False):
             return math.inf
         return math.exp(log_total)
 
-    tol_abs = retried if isinstance(retried, float) else DEFAULT_TOL_ABS
     lhs = integrate(lhs_integrand, Interval(lo, hi), split_at=splits,
                     endpoint_singular=(True, True), tol=tol, tol_abs=tol_abs)
     rhs = integrate(rhs_integrand, Interval(lo, hi), split_at=splits,
                     endpoint_singular=(True, True), tol=tol, tol_abs=tol_abs)
     margin, verdict = _verdict(lhs, rhs, ZERO_RESULT)
-    if verdict == INDETERMINATE and retried is False:
-        # retry once with tolerances scaled to the problem's magnitude
-        scale = max(abs(lhs.value), abs(rhs.value), 1e-300)
-        return _run_caccioppoli(
-            inst, phi, mu1, tol / 100.0, retried=max(scale * tol * 1e-4, 1e-300)
-        )
-    return VerificationReport(lhs, rhs, ZERO_RESULT, margin, verdict, bool(retried))
+    return VerificationReport(lhs, rhs, ZERO_RESULT, margin, verdict)
 
 
 def verify_hardy(inst: HardyInstance, xi: TestFunction, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -343,12 +340,10 @@ def verify_hardy(inst: HardyInstance, xi: TestFunction, tol: float = DEFAULT_TOL
     reported as an exact zero."""
     _require_support_inside(xi, inst.domain)
     mu1, mu2 = build_measures(inst)
-    return _run_hardy(inst, xi, mu1, mu2, tol)
+    return _with_retry(partial(_run_hardy, inst, xi, mu1, mu2), tol)
 
 
 def _log_weight_measure(inst, mu2):
-    from .instance import WeightedMeasure
-
     p, dp = inst.vp.p, inst.p_prime
     weight = pow_(div(abs_(dp), p), p)
     return WeightedMeasure(
@@ -359,10 +354,12 @@ def _log_weight_measure(inst, mu2):
     )
 
 
-def _run_hardy(inst, xi, mu1, mu2, tol, retried=False):
-    tol_abs = retried if isinstance(retried, float) else DEFAULT_TOL_ABS
+def _run_hardy(inst, xi, mu1, mu2, tol, tol_abs):
     lhs = modular(xi, inst.vp, mu=mu1, tol=tol, tol_abs=tol_abs)
-    rhs_main = modular(_derivative_view(xi), inst.vp, mu=mu2, tol=tol, tol_abs=tol_abs)
+    rhs_main = modular(
+        Integrand(xi.derivative, xi.support, xi.split_points), inst.vp, mu=mu2,
+        tol=tol, tol_abs=tol_abs,
+    )
     if inst.p_prime.kind == "const" and inst.p_prime.value == 0.0:
         rhs_log = ZERO_RESULT
     else:
@@ -371,14 +368,7 @@ def _run_hardy(inst, xi, mu1, mu2, tol, retried=False):
             tol=tol, tol_abs=tol_abs,
         )
     margin, verdict = _verdict(lhs, rhs_main, rhs_log)
-    if verdict == INDETERMINATE and retried is False:
-        # retry once with tolerances scaled to the problem's magnitude
-        scale = max(abs(lhs.value), abs(rhs_main.value), abs(rhs_log.value), 1e-300)
-        return _run_hardy(
-            inst, xi, mu1, mu2, tol / 100.0,
-            retried=max(scale * tol * 1e-4, 1e-300),
-        )
-    return VerificationReport(lhs, rhs_main, rhs_log, margin, verdict, bool(retried))
+    return VerificationReport(lhs, rhs_main, rhs_log, margin, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +392,10 @@ def _support_window(domain: Interval) -> Interval:
     w = domain.window(8.0)
     span = w.hi - w.lo
     return Interval(w.lo + 0.04 * span, w.hi - 0.04 * span)
+
+
+FAMILIES = ("power_bump", "spline", "mixed")
+BATCH_KINDS = ("hardy", "caccioppoli")
 
 
 def random_test_function(inst: HardyInstance, rng, family: str = "power_bump") -> TestFunction:
@@ -433,14 +427,18 @@ def batch_verify(
     seed: int = 0,
     which: str = "hardy",
     tol: float = DEFAULT_TOL,
-    jobs: int = 1,
 ) -> BatchSummary:
     """Run ``count`` seeded verifications of one inequality over a family.
 
     Refuses to run on instances that fail their admissibility checks; the
     verdict counts, the worst margin, and replayable witnesses for every
-    non-pass case are collected.  The test functions are drawn up front, so
-    results are identical for any ``jobs`` value."""
+    non-pass case are collected."""
+    if which not in BATCH_KINDS:
+        raise InvalidParamsError(f"which must be one of {BATCH_KINDS}, got {which!r}")
+    if family not in FAMILIES:
+        raise InvalidParamsError(f"family must be one of {FAMILIES}, got {family!r}")
+    if not isinstance(count, int) or count < 0:
+        raise InvalidParamsError(f"count must be a nonnegative integer, got {count!r}")
     report = check_admissibility(inst, grid_size=2000)
     if not report.admissible:
         bad = [c.name for c in report.conditions if not c.holds]
@@ -454,14 +452,7 @@ def batch_verify(
         family = "power_bump"
     tfs = [random_test_function(inst, rng, family) for _ in range(count)]
     runner = verify_caccioppoli if which == "caccioppoli" else verify_hardy
-
-    if jobs > 1 and count > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda tf: runner(inst, tf, tol), tfs))
-    else:
-        reports = [runner(inst, tf, tol) for tf in tfs]
+    reports = [runner(inst, tf, tol) for tf in tfs]
 
     counts = {PASS: 0, FAIL: 0, INDETERMINATE: 0}
     witnesses = []

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from hardylab.cli import SCENARIOS, cmd_check, load_config
+from hardylab.cli import SCENARIOS, build_instance, cmd_check, load_config
 from hardylab.errors import InvalidTestFunctionError
 from hardylab.expr import Interval, parse
 from hardylab.instance import build_measures, preset, weak_pdi_residual
@@ -158,7 +158,8 @@ def test_criterion_5_admissibility_sensitivity(tmp_path):
     ]
     codes = {}
     for name in names:
-        codes[name] = cmd_check(_scenario_config(name, tmp_path), label=f"{name}-check")
+        cfg = _scenario_config(name, tmp_path)
+        codes[name] = cmd_check(cfg, build_instance(cfg), label=f"{name}-check")
     all_pass = all(code == 0 for code in codes.values())
 
     perturbed = {
@@ -168,7 +169,7 @@ def test_criterion_5_admissibility_sensitivity(tmp_path):
     witness_ok = True
     for name, patch in perturbed.items():
         cfg = _scenario_config(name, tmp_path, extra_instance=patch)
-        code = cmd_check(cfg, label=f"{name}-perturbed")
+        code = cmd_check(cfg, build_instance(cfg), label=f"{name}-perturbed")
         report = parse_json(
             (tmp_path / name / f"{name}-perturbed.json").read_bytes()
         )

@@ -12,6 +12,7 @@ from hardylab.cli import (
     load_config,
     main,
 )
+from hardylab.errors import InvalidParamsError
 from hardylab.report import parse_json
 
 
@@ -173,3 +174,65 @@ def test_unknown_section_rejected(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[mystery]\nkey = 1\n")
     assert main(["check", "--config", str(path)]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["check", "verify", "scan"])
+def test_rejected_exponent_exits_math(tmp_path, capsys, command):
+    cfg = _write_config(
+        tmp_path,
+        "[instance]\npreset = cor51\np = 1\n[verification]\ncount = 2\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n",
+    )
+    assert main([command, "--config", cfg]) == EXIT_MATH
+    assert "exponent rejected" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "preset = cor51\n",  # no section header
+        "[instance]\npreset = cor51\npreset = cor53\n",  # duplicated option
+        "[instance]\npreset = cor51\n[instance]\np = 2\n",  # duplicated section
+    ],
+)
+def test_malformed_config_rejected(tmp_path, body):
+    assert main(["check", "--config", _write_config(tmp_path, body)]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "section, line",
+    [
+        ("verification", "cuont = 4"),
+        ("verification", "jobs = 2"),
+        ("scan", "budgett = 4"),
+        ("output", "dirr = x"),
+        ("quadrature", "tol = 1e-9"),
+    ],
+)
+def test_unknown_key_rejected(tmp_path, section, line):
+    cfg = _write_config(tmp_path, f"[instance]\npreset = cor51\n[{section}]\n{line}\n")
+    assert main(["check", "--config", cfg]) == EXIT_USAGE
+
+
+def test_unknown_key_in_environment_rejected(monkeypatch):
+    monkeypatch.setenv("HARDYLAB_VERIFICATION_JOBS", "2")
+    with pytest.raises(InvalidParamsError):
+        load_config(None)
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        "which = hardyy",
+        "family = bumps\nwhich = hardy",
+        "family = bumps\nwhich = caccioppoli",
+        "count = -4",
+    ],
+)
+def test_verify_rejects_bad_batch_settings(tmp_path, lines):
+    cfg = _write_config(
+        tmp_path,
+        f"[instance]\npreset = cor51\n[verification]\n{lines}\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n",
+    )
+    assert main(["verify", "--config", cfg]) == EXIT_USAGE

@@ -5,10 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardylab import sharpness, verify
 from hardylab.errors import InadmissibleInstanceError, InvalidTestFunctionError
 from hardylab.expr import Interval
 from hardylab.instance import build_measures, make_instance, preset
-from hardylab.quadrature import STATUS_DIVERGENT, integrate
+from hardylab.quadrature import (
+    DEFAULT_TOL_ABS,
+    STATUS_CONVERGED,
+    STATUS_DIVERGENT,
+    QuadratureResult,
+    integrate,
+)
 from hardylab.verify import (
     batch_verify,
     check_sum_power,
@@ -220,13 +227,49 @@ def test_batch_empty(distance_instance):
     assert summary.witnesses == []
 
 
-def test_batch_deterministic_and_jobs_invariant(distance_instance):
+def test_batch_deterministic(distance_instance):
     a = batch_verify(distance_instance, "mixed", 8, 13, "hardy")
     b = batch_verify(distance_instance, "mixed", 8, 13, "hardy")
-    c = batch_verify(distance_instance, "mixed", 8, 13, "hardy", jobs=4)
-    assert a.counts == b.counts == c.counts
-    assert a.worst_margin == b.worst_margin == c.worst_margin
-    assert [r["params"] for r in a.cases] == [r["params"] for r in c.cases]
+    assert a.counts == b.counts
+    assert a.worst_margin == b.worst_margin
+    assert [r["params"] for r in a.cases] == [r["params"] for r in b.cases]
+
+
+class _Passes:
+    """Stands in for the quadrature under a verification: every call records
+    its tolerances, and a pass is indeterminate until the tolerance drops."""
+
+    def __init__(self, values, calls_per_pass):
+        self.values = values
+        self.calls_per_pass = calls_per_pass
+        self.calls = []
+
+    def __call__(self, *args, tol, tol_abs, **kwargs):
+        value = self.values[len(self.calls) % self.calls_per_pass]
+        self.calls.append((tol, tol_abs))
+        return QuadratureResult(value, 1.0 if tol >= 1e-8 else 1e-6, 1, STATUS_CONVERGED)
+
+    def passes(self):
+        return self.calls[:: self.calls_per_pass]
+
+
+@pytest.mark.parametrize("which", ["hardy", "caccioppoli"])
+def test_indeterminate_first_pass_is_retried_once(distance_instance, monkeypatch, which):
+    # lhs 2, rhs 3: margin 1 inside the first pass's combined bound 2
+    fake = _Passes((2.0, 3.0), 2)
+    monkeypatch.setattr(verify, "modular" if which == "hardy" else "integrate", fake)
+    run = verify_hardy if which == "hardy" else verify_caccioppoli
+    rep = run(distance_instance, power_bump(0.0, 0.5), tol=1e-8)
+    assert fake.passes() == [(1e-8, DEFAULT_TOL_ABS), (1e-8 / 100.0, 3.0 * 1e-8 * 1e-4)]
+    assert rep.verdict == "pass"
+    assert rep.retried is True
+
+
+def test_sharpness_ratio_makes_one_pass(distance_instance, monkeypatch):
+    fake = _Passes((2.0, 3.0), 2)
+    monkeypatch.setattr(verify, "modular", fake)
+    assert sharpness.ratio(distance_instance, power_bump(0.0, 0.5), tol=1e-6) == 1.5
+    assert fake.passes() == [(1e-6, DEFAULT_TOL_ABS)]
 
 
 def test_divergence_guard_tent_raw_quadrature():
