@@ -9,8 +9,9 @@ indeterminate.
 Configuration comes from an INI file with sections ``instance``,
 ``verification``, ``scan``, ``output``; environment variables prefixed
 ``HARDYLAB_`` override the file, and command line flags override both.
-Unknown sections, unknown keys outside ``[instance]`` and malformed files
-are config errors.  See ``docs/config.md``.
+Unknown sections, unknown keys outside ``[instance]``, tolerances that are
+not finite and positive, and malformed files are config errors.  Only
+``[instance]`` keys read from a file keep their case.  See ``docs/config.md``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .expr import interval_from_text
 from .instance import (
     HardyInstance,
     check_admissibility,
-    check_nonneg,
+    check_nonneg,  # not called here; perfbench/tracing.py wraps cli.check_nonneg
     make_instance,
     preset,
     preset_names,
@@ -60,7 +61,6 @@ DEFAULTS = {
         "seed": "7",
         "which": "both",
         "tol": "1e-8",
-        "grid": "10000",
     },
     "scan": {
         "family": "hardy_cutoff",
@@ -72,7 +72,7 @@ DEFAULTS = {
     "output": {"dir": "hardylab-out"},
 }
 
-_EXPR_KEYS = {"p", "u", "phi", "sigma", "a_expr", "A"}
+_EXPR_KEYS = {"p", "u", "phi", "sigma", "A"}
 
 SCENARIOS = {
     "cor51": {
@@ -147,6 +147,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     cfg = {section: dict(values) for section, values in DEFAULTS.items()}
     if path is not None:
         parser = configparser.ConfigParser()
+        parser.optionxform = str
         try:
             read = parser.read(path)
             if not read:
@@ -154,18 +155,22 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
             for section in parser.sections():
                 if section not in SECTIONS:
                     raise InvalidParamsError(f"unknown config section [{section}]")
-                cfg[section].update(dict(parser[section]))
+                values = dict(parser[section])  # [instance] keys keep their case
+                if section != "instance":
+                    values = {k.lower(): v for k, v in values.items()}
+                    if len(values) < len(parser[section]):
+                        raise InvalidParamsError(f"duplicated key in [{section}]")
+                cfg[section].update(values)
         except configparser.Error as err:
             raise InvalidParamsError(f"malformed config file {path!r}: {err}") from err
     for name, value in os.environ.items():
         if not name.startswith("HARDYLAB_"):
             continue
         rest = name[len("HARDYLAB_"):].lower()
-        for section in SECTIONS:
-            prefix = section + "_"
-            if rest.startswith(prefix):
-                cfg[section][rest[len(prefix):]] = value
-                break
+        section = next((s for s in SECTIONS if rest.startswith(s + "_")), None)
+        if section is None:
+            raise InvalidParamsError(f"{name} names no config section")
+        cfg[section][rest[len(section) + 1:]] = value
     for section, values in (overrides or {}).items():
         cfg[section].update({k: v for k, v in values.items() if v is not None})
     for section in ("verification", "scan", "output"):
@@ -174,6 +179,12 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
                 section == "scan" and (key.startswith("box_") or key == "max_ratio")
             ):
                 raise InvalidParamsError(f"unknown key {key!r} in [{section}]")
+    for section in ("verification", "scan"):
+        tol = _maybe_number(cfg[section]["tol"])
+        if not (isinstance(tol, float) and 0.0 < tol < math.inf):
+            raise InvalidParamsError(
+                f"[{section}] tol must be finite and positive, got {cfg[section]['tol']!r}"
+            )
     return cfg
 
 
@@ -251,16 +262,9 @@ def _instance_or_none(cfg: dict, command: str) -> HardyInstance | None:
 
 
 def cmd_check(cfg: dict, inst: HardyInstance, label: str = "check") -> int:
-    grid = int(cfg["verification"]["grid"])
-    report = check_admissibility(inst, grid_size=grid)
-    conditions = list(report.conditions)
-    if inst.condition is not None:
-        conditions.append(
-            check_nonneg(inst.condition, inst.domain, grid, name=inst.condition_name)
-        )
     payload = {"conditions": []}
     worst_exit = EXIT_OK
-    for cond in conditions:
+    for cond in check_admissibility(inst).conditions:
         line = f"condition {cond.name}: {cond.verdict} (worst margin {cond.worst_margin:.6g}"
         if cond.witness is not None:
             line += f" at x={cond.witness:.9g}"

@@ -45,6 +45,7 @@ from .spaces import VariableExponent, validate_exponent
 
 BETA_MARGIN = 1e-9
 POINTWISE_TOL = 1e-12
+ADMISSIBILITY_GRID = 10_000
 
 HOLDS = "holds-numerically"
 VIOLATED = "violated"
@@ -83,9 +84,6 @@ class WeightedMeasure:
             return dens(x)
 
         return fn
-
-    def density_at(self, x: float) -> float:
-        return self.density_fn()(x)
 
 
 @dataclass
@@ -147,6 +145,7 @@ class HardyInstance:
             pts.update(singular_points(e, self.domain))
         self.split_points = tuple(sorted(pts))
         self._measures = None
+        self._admissibility = None
 
     @property
     def p(self) -> Expr:
@@ -238,7 +237,7 @@ def _sample_points(interval: Interval, grid_size: int, singulars=()) -> list[flo
 def check_nonneg(
     e: Expr,
     interval: Interval,
-    grid_size: int = 10_000,
+    grid_size: int = ADMISSIBILITY_GRID,
     name: str = "nonnegative",
     tol: float = POINTWISE_TOL,
 ) -> ConditionReport:
@@ -272,23 +271,26 @@ def check_nonneg(
     return ConditionReport(name, verdict, worst, witness if verdict == VIOLATED else None, skipped)
 
 
-def check_admissibility(inst: HardyInstance, grid_size: int = 10_000) -> AdmissibilityReport:
-    """Verdicts for the instance's admissibility conditions on a sampling
-    grid: u >= 0, pointwise nonnegativity of Phi u + sigma |u'|^p, and the
-    strict gap beta > sup sigma (supremum sampled over the closure; on
-    unbounded domains only a finite window is inspected)."""
-    conditions = [
-        check_nonneg(inst.u, inst.domain, grid_size, name="u-nonnegative"),
-        check_nonneg(
-            pointwise_condition_expr(inst), inst.domain, grid_size, name="pointwise",
-        ),
-        _beta_gap_condition(inst, grid_size),
-    ]
-    return AdmissibilityReport(conditions)
+def check_admissibility(inst: HardyInstance) -> AdmissibilityReport:
+    """The instance's admissibility verdicts, decided once and memoized, on
+    a grid of ``ADMISSIBILITY_GRID`` points: u >= 0, pointwise nonnegativity
+    of Phi u + sigma |u'|^p, the strict gap beta > sup sigma (supremum
+    sampled over the closure; on unbounded domains only a finite window is
+    inspected), and the preset's closed-form condition when it has one."""
+    if inst._admissibility is None:
+        conditions = [
+            check_nonneg(inst.u, inst.domain, name="u-nonnegative"),
+            check_nonneg(pointwise_condition_expr(inst), inst.domain, name="pointwise"),
+            _beta_gap_condition(inst),
+        ]
+        if inst.condition is not None:
+            conditions.append(check_nonneg(inst.condition, inst.domain, name=inst.condition_name))
+        inst._admissibility = AdmissibilityReport(conditions)
+    return inst._admissibility
 
 
-def _beta_gap_condition(inst: HardyInstance, grid_size: int) -> ConditionReport:
-    pts = _sample_points(inst.domain, grid_size, inst.split_points)
+def _beta_gap_condition(inst: HardyInstance) -> ConditionReport:
+    pts = _sample_points(inst.domain, ADMISSIBILITY_GRID, inst.split_points)
     for endpoint in (inst.domain.lo, inst.domain.hi):
         if math.isfinite(endpoint):
             pts.append(endpoint)

@@ -52,9 +52,6 @@ class VariableExponent:
     numerical: bool = True  # extrema sampled on a grid, not proven
     split_points: tuple = ()
 
-    def __call__(self, x: float) -> float:
-        return compile_fn(self.p)(x)
-
 
 def validate_exponent(p: Expr, domain: Interval, grid: int = 4096) -> VariableExponent:
     """Check that ``p`` stays in (1, infinity) on a sampling grid and return

@@ -383,10 +383,6 @@ class BatchSummary:
     evaluations: int
     cases: list = field(default_factory=list)
 
-    @property
-    def failures(self) -> int:
-        return self.counts[FAIL]
-
 
 def _support_window(domain: Interval) -> Interval:
     w = domain.window(8.0)
@@ -430,21 +426,19 @@ def batch_verify(
 ) -> BatchSummary:
     """Run ``count`` seeded verifications of one inequality over a family.
 
-    Refuses to run on instances that fail their admissibility checks; the
-    verdict counts, the worst margin, and replayable witnesses for every
-    non-pass case are collected."""
+    Refuses to run unless every condition of the instance's admissibility
+    report, the one ``hardylab check`` prints, holds; the verdict counts,
+    the worst margin, and replayable witnesses for every non-pass case are
+    collected."""
     if which not in BATCH_KINDS:
         raise InvalidParamsError(f"which must be one of {BATCH_KINDS}, got {which!r}")
     if family not in FAMILIES:
         raise InvalidParamsError(f"family must be one of {FAMILIES}, got {family!r}")
     if not isinstance(count, int) or count < 0:
         raise InvalidParamsError(f"count must be a nonnegative integer, got {count!r}")
-    report = check_admissibility(inst, grid_size=2000)
-    if not report.admissible:
-        bad = [c.name for c in report.conditions if not c.holds]
-        raise InadmissibleInstanceError(
-            f"instance fails {bad}; run check_admissibility for details"
-        )
+    bad = [c.name for c in check_admissibility(inst).conditions if not c.holds]
+    if bad:
+        raise InadmissibleInstanceError(f"instance fails {bad}; run check_admissibility for details")
     rng = np.random.default_rng(seed)
     if which == "caccioppoli":
         # the gradient-side integrand needs edge exponent above p_plus - 1,

@@ -117,8 +117,8 @@ def test_criterion_4_classical_constant_recovery():
     inst = preset("constp")  # p = 2, beta = 1, u = x^(1/2), sigma = 0
     mu1, mu2 = build_measures(inst)
     weight_ok = all(
-        abs(mu1.density_at(x) * x * x - 0.25) <= 1e-12 and
-        abs(mu2.density_at(x) - 1.0) <= 1e-12
+        abs(mu1.density_fn()(x) * x * x - 0.25) <= 1e-12 and
+        abs(mu2.density_fn()(x) - 1.0) <= 1e-12
         for x in (0.3, 1.0, 4.0)
     )
 

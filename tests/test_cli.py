@@ -193,6 +193,7 @@ def test_rejected_exponent_exits_math(tmp_path, capsys, command):
         "preset = cor51\n",  # no section header
         "[instance]\npreset = cor51\npreset = cor53\n",  # duplicated option
         "[instance]\npreset = cor51\n[instance]\np = 2\n",  # duplicated section
+        "[instance]\npreset = cor51\n[verification]\ncount = 1\nCOUNT = 2\n",  # same key
     ],
 )
 def test_malformed_config_rejected(tmp_path, body):
@@ -236,3 +237,69 @@ def test_verify_rejects_bad_batch_settings(tmp_path, lines):
         f"[output]\ndir = {tmp_path / 'out'}\n",
     )
     assert main(["verify", "--config", cfg]) == EXIT_USAGE
+
+
+def test_unknown_section_in_environment_rejected(tmp_path, monkeypatch):
+    monkeypatch.setenv("HARDYLAB_QUADRATURE_TOL", "1e-9")
+    with pytest.raises(InvalidParamsError):
+        load_config(None)
+    cfg = _write_config(tmp_path, "[instance]\npreset = cor51\n")
+    assert main(["check", "--config", cfg]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("section", ["verification", "scan"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-8", "tight"])
+def test_tolerance_must_be_finite_and_positive(tmp_path, section, value):
+    cfg = _write_config(
+        tmp_path,
+        f"[instance]\npreset = cor51\n[{section}]\ntol = {value}\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n",
+    )
+    assert main(["verify", "--config", cfg]) == EXIT_USAGE
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_tol_flag_must_be_finite_and_positive(tmp_path, value):
+    cfg = _write_config(
+        tmp_path, f"[instance]\npreset = cor51\n[output]\ndir = {tmp_path / 'out'}\n"
+    )
+    assert main(["verify", "--config", cfg, "--tol", value]) == EXIT_USAGE
+    assert not (tmp_path / "out").exists()
+
+
+def test_instance_keys_keep_their_case(tmp_path):
+    out = tmp_path / "out"
+    cfg = _write_config(
+        tmp_path,
+        "[instance]\npreset = cor51\nM = 0.5\n[verification]\nCOUNT = 0\n"
+        f"[output]\ndir = {out}\n",
+    )
+    assert load_config(cfg)["verification"]["count"] == "0"
+    assert main(["check", "--config", cfg]) == EXIT_OK
+    record = parse_json((out / "check.json").read_bytes())
+    assert record.instance["params"] == {"M": 0.5}
+    assert record.instance["domain"] == [-0.5, 0.5]
+
+
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_cor64_minorant_from_file_rejected_by_check_and_verify(tmp_path, capsys, command):
+    # u = x and a*beta - 2(p-1) - A < 0 for A = 100: only the closed-form
+    # condition fails, and verify refuses the instance exactly as check does
+    cfg = _write_config(
+        tmp_path,
+        "[instance]\npreset = cor64\nA = 100\n[verification]\ncount = 2\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n",
+    )
+    assert main([command, "--config", cfg]) == EXIT_MATH
+    out = capsys.readouterr().out
+    assert "normalized-power-condition" in out
+    if command == "check":
+        record = parse_json((tmp_path / "out" / "check.json").read_bytes())
+        verdicts = {c["name"]: c["verdict"] for c in record.payload["conditions"]}
+        assert verdicts == {
+            "u-nonnegative": "holds-numerically",
+            "pointwise": "holds-numerically",
+            "beta-margin": "holds-numerically",
+            "normalized-power-condition": "violated",
+        }

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hardylab import instance
 from hardylab.errors import InvalidParamsError, ZeroSetUnresolvedError
 from hardylab.expr import Interval, evaluate, parse
 from hardylab.instance import (
@@ -36,6 +37,21 @@ def test_admissibility_beta_gap_violated():
     cond = report.condition("beta-margin")
     assert cond.verdict == "violated"
     assert cond.worst_margin == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_admissibility_decided_once_per_instance(monkeypatch):
+    calls = []
+    real = instance.check_nonneg
+    monkeypatch.setattr(
+        instance, "check_nonneg", lambda *a, **k: calls.append(k["name"]) or real(*a, **k)
+    )
+    inst = preset("cor64", a=1.0, p="x+2", beta=5.0)
+    report = check_admissibility(inst)
+    names = ["u-nonnegative", "pointwise", "normalized-power-condition"]
+    assert calls == names
+    assert [c.name for c in report.conditions] == [*names[:2], "beta-margin", names[2]]
+    assert check_admissibility(inst) is report
+    assert calls == names
 
 
 def test_exponential_preset_condition_minimum():
@@ -150,9 +166,9 @@ def test_measures_distance_preset_forms():
     for x in (-0.6, 0.2, 0.8):
         u = M - abs(x)
         p = 2 - math.exp(-x * x)
-        assert mu1.density_at(x) == pytest.approx(u ** (-beta - 1), rel=1e-12)
+        assert mu1.density_fn()(x) == pytest.approx(u ** (-beta - 1), rel=1e-12)
         expected2 = u ** (p - beta - 1) * (2 * (p - 1) / (beta - 1)) ** (p - 1)
-        assert mu2.density_at(x) == pytest.approx(expected2, rel=1e-12)
+        assert mu2.density_fn()(x) == pytest.approx(expected2, rel=1e-12)
 
 
 def test_measures_reciprocal_preset_forms():
@@ -165,8 +181,8 @@ def test_measures_reciprocal_preset_forms():
         bar_g = sigma + dp * x * math.log(a / x ** 2) - 2 * p + 2
         exp1 = (a / x) ** (p - beta - 1) * x ** (-p) * bar_g
         exp2 = (a / x) ** (p - beta - 1) * (2 * (p - 1) / (beta - sigma)) ** (p - 1)
-        assert mu1.density_at(x) == pytest.approx(exp1, rel=1e-10)
-        assert mu2.density_at(x) == pytest.approx(exp2, rel=1e-10)
+        assert mu1.density_fn()(x) == pytest.approx(exp1, rel=1e-10)
+        assert mu2.density_fn()(x) == pytest.approx(exp2, rel=1e-10)
 
 
 def test_constant_p_measure_has_no_factor_two():
@@ -176,7 +192,7 @@ def test_constant_p_measure_has_no_factor_two():
     for x in (0.5, 2.0):
         u = x ** 0.7
         expected = ((p - 1) / (beta - sigma)) ** (p - 1) * u ** (p - beta - 1)
-        assert mu2.density_at(x) == pytest.approx(expected, rel=1e-12)
+        assert mu2.density_fn()(x) == pytest.approx(expected, rel=1e-12)
 
 
 def test_constant_exponent_measure_relation():
@@ -188,16 +204,16 @@ def test_constant_exponent_measure_relation():
     p, beta, sigma = 3.0, 2.0, 0.5
     c = ((p - 1) / (beta - sigma)) ** (p - 1)
     for x in (0.3, 1.0, 4.0):
-        assert mu2.density_at(x) == pytest.approx(c * m2c.density_at(x), rel=1e-12)
-        assert m1c.density_at(x) == pytest.approx(mu1.density_at(x) / c, rel=1e-12)
+        assert mu2.density_fn()(x) == pytest.approx(c * m2c.density_fn()(x), rel=1e-12)
+        assert m1c.density_fn()(x) == pytest.approx(mu1.density_fn()(x) / c, rel=1e-12)
 
 
 def test_indicator_zeroes_density_outside_u_support():
     inst = make_instance(Interval(-1, 1), "2", "max(x, 0)", "0", "1", 2.0)
     mu1, mu2 = build_measures(inst)
-    assert mu1.density_at(-0.5) == 0.0
-    assert mu2.density_at(-0.5) == 0.0  # u' = 0 on the left half
-    assert mu1.density_at(0.5) > 0.0
+    assert mu1.density_fn()(-0.5) == 0.0
+    assert mu2.density_fn()(-0.5) == 0.0  # u' = 0 on the left half
+    assert mu1.density_fn()(0.5) > 0.0
 
 
 def test_unresolvable_u_zero_raises():
@@ -228,7 +244,7 @@ def test_preset_power_negative_alpha():
     for x in (0.7, 1.5):
         # u = 1/x: core = x^(-4) (sigma - 2p + 2), mu1 = |u'|^(p-2) u^(-beta-1) core
         expected = x ** (-4) * (4.0 - 2 * 2.0 + 2) * x ** (-2 * (2.0 - 2)) * x ** 6
-        assert mu1.density_at(x) == pytest.approx(expected, rel=1e-10)
+        assert mu1.density_fn()(x) == pytest.approx(expected, rel=1e-10)
 
 
 def test_preset_degenerate_power_is_vacuous():
@@ -252,8 +268,8 @@ def test_classical_weight_from_constant_preset():
     inst = preset("constp")
     mu1, mu2 = build_measures(inst)
     for x in (0.25, 1.0, 5.0):
-        assert mu1.density_at(x) * x * x == pytest.approx(0.25, rel=1e-12)
-        assert mu2.density_at(x) == pytest.approx(1.0, rel=1e-12)
+        assert mu1.density_fn()(x) * x * x == pytest.approx(0.25, rel=1e-12)
+        assert mu2.density_fn()(x) == pytest.approx(1.0, rel=1e-12)
 
 
 SHIPPED_PRESETS = [
@@ -272,7 +288,7 @@ SHIPPED_PRESETS = [
 def test_every_shipped_preset_passes_checks():
     for name, kwargs in SHIPPED_PRESETS:
         inst = preset(name, **kwargs)
-        report = check_admissibility(inst, grid_size=10_000)
+        report = check_admissibility(inst)
         assert report.admissible, (name, kwargs)
         if inst.condition is not None:
             cond = check_nonneg(inst.condition, inst.domain, grid_size=10_000)

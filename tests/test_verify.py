@@ -220,6 +220,14 @@ def test_batch_refuses_inadmissible():
     assert "check_admissibility" in str(err.value)
 
 
+def test_batch_refuses_failed_closed_form_condition():
+    # cor64 with the minorant A = 100 passes the three grid conditions and
+    # fails only its closed-form condition, which check reports as violated
+    inst = preset("cor64", A=100)
+    with pytest.raises(InadmissibleInstanceError, match="normalized-power-condition"):
+        batch_verify(inst, "power_bump", 2, 7)
+
+
 def test_batch_empty(distance_instance):
     summary = batch_verify(distance_instance, "power_bump", 0, 7)
     assert summary.counts == {"pass": 0, "fail": 0, "indeterminate": 0}
