@@ -10,7 +10,8 @@ Configuration comes from an INI file with sections ``instance``,
 ``verification``, ``scan``, ``output``; environment variables prefixed
 ``HARDYLAB_`` override the file, and command line flags override both.
 Unknown sections, unknown keys outside ``[instance]``, tolerances that are
-not finite and positive, and malformed files are config errors.  Only
+not finite and positive, a scan ``budget`` or ``restarts`` below 1 or not an
+integer, and malformed files are config errors.  Only
 ``[instance]`` keys read from a file keep their case.  See ``docs/config.md``.
 """
 
@@ -185,6 +186,15 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
             raise InvalidParamsError(
                 f"[{section}] tol must be finite and positive, got {cfg[section]['tol']!r}"
             )
+    for key in ("budget", "restarts"):
+        try:
+            positive = int(cfg["scan"][key]) >= 1
+        except ValueError:
+            positive = False
+        if not positive:
+            raise InvalidParamsError(
+                f"[scan] {key} must be an integer >= 1, got {cfg['scan'][key]!r}"
+            )
     return cfg
 
 
@@ -261,10 +271,21 @@ def _instance_or_none(cfg: dict, command: str) -> HardyInstance | None:
         return None
 
 
+def _admissibility_exit(report) -> int:
+    """Exit 1 if a condition of an admissibility report is violated, else 3
+    if one is indeterminate, else 0."""
+    verdicts = {cond.verdict for cond in report.conditions}
+    if "violated" in verdicts:
+        return EXIT_MATH
+    if "indeterminate" in verdicts:
+        return EXIT_INDETERMINATE
+    return EXIT_OK
+
+
 def cmd_check(cfg: dict, inst: HardyInstance, label: str = "check") -> int:
     payload = {"conditions": []}
-    worst_exit = EXIT_OK
-    for cond in check_admissibility(inst).conditions:
+    report = check_admissibility(inst)
+    for cond in report.conditions:
         line = f"condition {cond.name}: {cond.verdict} (worst margin {cond.worst_margin:.6g}"
         if cond.witness is not None:
             line += f" at x={cond.witness:.9g}"
@@ -278,13 +299,9 @@ def cmd_check(cfg: dict, inst: HardyInstance, label: str = "check") -> int:
                 "witness": cond.witness,
             }
         )
-        if cond.verdict == "violated":
-            worst_exit = EXIT_MATH
-        elif cond.verdict == "indeterminate" and worst_exit == EXIT_OK:
-            worst_exit = EXIT_INDETERMINATE
     record = make_record("check", inst.describe(), payload, cfg)
     _write_atomic(_out_dir(cfg) / f"{label}.json", emit_json(record))
-    return worst_exit
+    return _admissibility_exit(report)
 
 
 def cmd_verify(cfg: dict, inst: HardyInstance, label: str = "verify") -> int:
@@ -317,7 +334,7 @@ def cmd_verify(cfg: dict, inst: HardyInstance, label: str = "verify") -> int:
             )
     except InadmissibleInstanceError as err:
         print(f"verify: {err}")
-        return EXIT_MATH
+        return _admissibility_exit(check_admissibility(inst))
     payload["totals"] = totals
     record = make_record("verify", inst.describe(), payload, cfg)
     _write_atomic(_out_dir(cfg) / f"{label}.json", emit_json(record))

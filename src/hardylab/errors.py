@@ -37,7 +37,8 @@ class IntegrabilityProbeError(HardyLabError):
 
 
 class NoFiniteBracketError(HardyLabError):
-    """Norm bisection could not bracket a finite value."""
+    """The Luxemburg norm is not finite: the modular of f is infinite or
+    suspected divergent, or the root bracket passed its cap."""
 
 
 class InvalidParamsError(HardyLabError):

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from scipy.optimize import brentq
+
 from .errors import (
     EvalDomainError,
     ExponentRangeError,
@@ -196,54 +198,70 @@ def modular(
     )
 
 
-BISECT_REL_WIDTH = 1e-10
-BISECT_MAX_ITER = 200
 BRACKET_CAP = 1e12
+NORM_TOL_ABS = 1e-13
+# Half-width, in log(lambda), added to the bracket from the sampled extrema.
+BRACKET_SLACK = 1e-3
 
 
 def luxemburg_norm(f, vp: VariableExponent, tol: float = 1e-9) -> float:
-    """inf of lambda > 0 with modular(f / lambda) <= 1, by bisection.
+    """inf of lambda > 0 with modular(f / lambda) <= 1.
 
-    The objective lambda -> modular(f / lambda) is nonincreasing, so a
-    geometric bracket expansion from lambda = 1 followed by bisection
-    converges; the bracket is capped at 1e12.
+    The norm lies between ``rho^(1/p_plus)`` and ``rho^(1/p_minus)`` for
+    ``rho = modular(f)`` (Diening, Harjulehto, Hasto and Ruzicka, LNM 2017,
+    Lemma 3.2.5).  A constant exponent gives ``rho^(1/p)`` by homogeneity,
+    corrected once at the scale of the answer when ``rho`` is so small that
+    the absolute quadrature floor bounded its error.  For a variable exponent
+    Brent's method solves ``log modular(f / e^t) = 0``, convex in ``t`` with
+    slope in ``[-p_plus, -p_minus]``, to 1e-10 relative on lambda.  The
+    extrema are sampled, not proven, so the widened bracket's ends are
+    halved or doubled until they straddle the root; halving below 1e-15
+    returns 0.
+
+    Raises NoFiniteBracketError when ``modular(f)`` is infinite or suspected
+    divergent, or when doubling passes ``BRACKET_CAP``.
     """
     fn = _as_callable(f)
     support = getattr(f, "support", None)
     splits = getattr(f, "split_points", ())
 
-    def objective(lam):
+    def scaled_modular(lam):
         scaled = Integrand(lambda x: fn(x) / lam, support, splits)
-        return modular(scaled, vp, tol=tol, tol_abs=1e-13).value
+        return modular(scaled, vp, tol=tol, tol_abs=NORM_TOL_ABS).value
 
-    m1 = objective(1.0)
-    if m1 == 0.0:
+    r = modular(f, vp, tol=tol, tol_abs=NORM_TOL_ABS)
+    rho = r.value
+    if rho == 0.0:
         return 0.0
-    if m1 <= 1.0:
-        hi = 1.0
-        lo = 0.5
-        while objective(lo) <= 1.0:
-            hi = lo
-            lo *= 0.5
-            if lo < 1e-15:
-                return 0.0
-    else:
-        lo = 1.0
-        hi = 2.0
-        while objective(hi) > 1.0:
-            lo = hi
-            hi *= 2.0
-            if hi > BRACKET_CAP:
-                raise NoFiniteBracketError(
-                    f"modular(f/lambda) > 1 for all lambda up to {BRACKET_CAP:g}"
-                )
+    if not math.isfinite(rho) or r.status == STATUS_DIVERGENT:
+        raise NoFiniteBracketError(f"modular(f) is {rho!r} ({r.status})")
+    if not vp.numerical:
+        lam = rho ** (1.0 / vp.p_minus)
+        if rho * tol < NORM_TOL_ABS:
+            lam *= scaled_modular(lam) ** (1.0 / vp.p_minus)
+        return lam
 
-    for _ in range(BISECT_MAX_ITER):
-        if hi - lo <= BISECT_REL_WIDTH * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if objective(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    memo = {}
+
+    def g(t):
+        if t not in memo:
+            m = scaled_modular(math.exp(t))
+            memo[t] = math.log(m) if m > 0.0 else -math.inf
+        return memo[t]
+
+    log_rho = math.log(rho)
+    ends = (log_rho / vp.p_plus, log_rho / vp.p_minus)
+    t_lo, t_hi = min(ends) - BRACKET_SLACK, max(ends) + BRACKET_SLACK
+    while g(t_lo) <= 0.0:
+        t_hi = t_lo
+        t_lo -= math.log(2.0)
+        if t_lo < math.log(1e-15):
+            return 0.0
+    while g(t_hi) > 0.0:
+        t_lo = t_hi
+        t_hi += math.log(2.0)
+        if t_hi > math.log(BRACKET_CAP):
+            raise NoFiniteBracketError(
+                f"modular(f/lambda) > 1 for all lambda up to {BRACKET_CAP:g}"
+            )
+    return math.exp(brentq(g, t_lo, t_hi, xtol=1e-10))

@@ -303,3 +303,32 @@ def test_cor64_minorant_from_file_rejected_by_check_and_verify(tmp_path, capsys,
             "beta-margin": "holds-numerically",
             "normalized-power-condition": "violated",
         }
+
+
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_indeterminate_admissibility_exits_3(tmp_path, capsys, command):
+    # log(x - 0.5) cannot be evaluated on half the grid, so u-nonnegative
+    # and pointwise are indeterminate and none is violated: both exit 3
+    cfg = _write_config(
+        tmp_path,
+        "[instance]\npreset = raw\np = 2\nu = log(x - 0.5)\nsigma = 1\nbeta = 2\n"
+        "domain = 0, 1\n[verification]\ncount = 2\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n",
+    )
+    assert main([command, "--config", cfg]) == EXIT_INDETERMINATE
+    assert "u-nonnegative" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", ["budget", "restarts"])
+@pytest.mark.parametrize("value", ["0", "-2", "1e3"])
+def test_scan_counts_must_be_positive_integers(tmp_path, monkeypatch, key, value):
+    cfg = _write_config(
+        tmp_path,
+        f"[instance]\npreset = constp\n[scan]\n{key} = {value}\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n",
+    )
+    assert main(["scan", "--config", cfg]) == EXIT_USAGE
+    assert not (tmp_path / "out").exists()
+    monkeypatch.setenv(f"HARDYLAB_SCAN_{key.upper()}", value)
+    with pytest.raises(InvalidParamsError):
+        load_config(None)

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy import integrate as sci_integrate
 
+from hardylab import spaces
 from hardylab.errors import ExponentRangeError, IntegrabilityProbeError, NoFiniteBracketError
 from hardylab.expr import Interval, parse
 from hardylab.spaces import luxemburg_norm, modular, validate_exponent
@@ -86,6 +89,60 @@ def test_luxemburg_no_finite_bracket():
         luxemburg_norm(f, vp)
 
 
+@pytest.mark.parametrize("p_text, power", [("x+2", -2.0), ("3", -0.5)])
+def test_luxemburg_divergent_modular(p_text, power):
+    # |x^power|^p is not integrable on (0,1): the modular overflows for
+    # x^-2 and is flagged divergent with a finite value for x^-0.5, p = 3
+    vp = validate_exponent(parse(p_text), Interval(0, 1))
+    with pytest.raises(NoFiniteBracketError):
+        luxemburg_norm(lambda x: x ** power, vp)
+
+
+def test_norm_modular_calls(monkeypatch):
+    calls = []
+    real = spaces.modular
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spaces, "modular", counting)
+    vp = validate_exponent(parse("2"), Interval(0, 1))
+    assert luxemburg_norm(lambda x: 1.0 + x, vp) == pytest.approx(math.sqrt(7 / 3), rel=1e-9)
+    assert len(calls) == 1
+
+    calls.clear()
+    vp = validate_exponent(parse("x+2"), Interval(0, 1))
+    norm = luxemburg_norm(lambda x: 1.0 + math.sin(3 * x), vp)
+    assert norm > 0
+    assert len(calls) <= 10
+
+
+def test_norm_small_modular_constant_exponent():
+    # modular(f) ~ 1e-13 sits at the absolute quadrature floor, so
+    # modular(f)^(1/p) alone is off by about 2e-4 here
+    vp = validate_exponent(parse("3"), Interval(0, 1))
+    f = lambda x: 1e-4 * (x - 0.61) * (1.0 + x * x)
+    exact = sci_integrate.quad(
+        lambda x: abs(f(x)) ** 3, 0.0, 1.0, points=[0.61], epsabs=0.0, epsrel=1e-13,
+    )[0] ** (1 / 3)
+    assert luxemburg_norm(f, vp) == pytest.approx(exact, rel=1e-9)
+
+
+@pytest.mark.parametrize("narrowed", ["p_plus", "p_minus"])
+def test_norm_bracket_widening(narrowed):
+    # Understated extrema move the bracket off the root: with p_plus = 2.1
+    # the norm of 3.7 lies below it, with p_minus = 2.9 above it.
+    vp = validate_exponent(parse("x+2"), Interval(0, 1))
+    if narrowed == "p_plus":
+        wrong = dataclasses.replace(vp, p_plus=vp.p_minus + 0.1)
+    else:
+        wrong = dataclasses.replace(vp, p_minus=vp.p_plus - 0.1)
+    assert luxemburg_norm(parse("3.7"), wrong) == pytest.approx(3.7, rel=1e-9)
+    f = lambda x: 1.0 + math.sin(3 * x)
+    assert luxemburg_norm(f, wrong) == pytest.approx(luxemburg_norm(f, vp), rel=1e-9)
+
+
 def _random_poly(rng):
     coeffs = rng.uniform(-2, 2, size=int(rng.integers(1, 5)))
 
@@ -129,7 +186,7 @@ def test_unit_ball_property():
     assert r.value == pytest.approx(1.0, abs=1e-4)
 
 
-def test_bisection_objective_monotone():
+def test_norm_objective_monotone():
     vp = validate_exponent(parse("x+2"), Interval(0, 1))
     f = lambda x: 1.0 + x
     lams = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hardylab import sharpness, verify
 from hardylab.errors import InadmissibleInstanceError, InvalidTestFunctionError
-from hardylab.expr import Interval
+from hardylab.expr import Interval, parse
 from hardylab.instance import build_measures, make_instance, preset
 from hardylab.quadrature import (
     DEFAULT_TOL_ABS,
@@ -20,6 +20,7 @@ from hardylab.verify import (
     batch_verify,
     check_sum_power,
     check_young,
+    from_expr,
     power_bump,
     spline_bump,
     tent,
@@ -292,3 +293,28 @@ def test_divergence_guard_tent_raw_quadrature():
 
     r = integrate(raw, w.support, split_at=[0.0], endpoint_singular=(True, True))
     assert r.status == STATUS_DIVERGENT
+
+
+def test_from_expr_values_and_params():
+    xi = from_expr(parse("(x*(1-x))^2"), Interval(0, 1), 2.0)
+    assert xi(0.5) == pytest.approx(0.0625, rel=1e-15)
+    # d/dx (x(1-x))^2 = 2 x (1-x) (1-2x)
+    assert xi.derivative(0.25) == pytest.approx(0.1875, rel=1e-15)
+    assert xi.kind == "custom"
+    assert xi.edge_exponent == 2.0
+    assert xi.params == {"expr": "(x * (1.0 - x)) ^ 2.0"}
+    for x in (-0.5, 0.0, 1.0, 1.5):
+        assert xi(x) == 0.0
+        assert xi.derivative(x) == 0.0
+
+
+def test_from_expr_rejects_negative_expression():
+    with pytest.raises(InvalidTestFunctionError):
+        from_expr(parse("x - 0.5"), Interval(0, 1), 1.0)
+
+
+def test_from_expr_hardy_passes(distance_instance):
+    xi = from_expr(parse("(0.25 - x^2)^2"), Interval(-0.5, 0.5), 2.0)
+    rep = verify_hardy(distance_instance, xi)
+    assert rep.verdict == "pass"
+    assert rep.lhs.value > 0.0
