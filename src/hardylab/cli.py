@@ -9,10 +9,11 @@ indeterminate.
 Configuration comes from an INI file with sections ``instance``,
 ``verification``, ``scan``, ``output``; environment variables prefixed
 ``HARDYLAB_`` override the file, and command line flags override both.
-Unknown sections, unknown keys outside ``[instance]``, tolerances that are
-not finite and positive, a scan ``budget`` or ``restarts`` below 1 or not an
-integer, and malformed files are config errors.  Only
-``[instance]`` keys read from a file keep their case.  See ``docs/config.md``.
+Unknown sections or keys, out-of-range values and malformed files are
+config errors, found by :func:`load_config` before any instance is built
+(``[instance]`` values that do not parse, by :func:`build_instance`); only
+config errors exit 2.  Only ``[instance]`` keys read from a file keep their
+case.  See ``docs/config.md`` for every key and its range.
 """
 
 from __future__ import annotations
@@ -72,6 +73,15 @@ DEFAULTS = {
     },
     "output": {"dir": "hardylab-out"},
 }
+
+# (section, key, least value) of the keys that must be integers
+_INTEGER_KEYS = (
+    ("verification", "count", 0),
+    ("verification", "seed", 0),
+    ("scan", "budget", 1),
+    ("scan", "restarts", 1),
+    ("scan", "seed", 0),
+)
 
 _EXPR_KEYS = {"p", "u", "phi", "sigma", "A"}
 
@@ -180,42 +190,74 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
                 section == "scan" and (key.startswith("box_") or key == "max_ratio")
             ):
                 raise InvalidParamsError(f"unknown key {key!r} in [{section}]")
-    for section in ("verification", "scan"):
-        tol = _maybe_number(cfg[section]["tol"])
-        if not (isinstance(tol, float) and 0.0 < tol < math.inf):
+    for section, key in (("verification", "tol"), ("scan", "tol"), ("scan", "max_ratio")):
+        if key not in cfg[section]:
+            continue  # max_ratio is optional
+        value = _maybe_number(cfg[section][key])
+        if not (isinstance(value, float) and 0.0 < value < math.inf):
             raise InvalidParamsError(
-                f"[{section}] tol must be finite and positive, got {cfg[section]['tol']!r}"
+                f"[{section}] {key} must be finite and positive, got {cfg[section][key]!r}"
             )
-    for key in ("budget", "restarts"):
+    for section, key, least in _INTEGER_KEYS:
         try:
-            positive = int(cfg["scan"][key]) >= 1
+            ok = int(cfg[section][key]) >= least
         except ValueError:
-            positive = False
-        if not positive:
+            ok = False
+        if not ok:
             raise InvalidParamsError(
-                f"[scan] {key} must be an integer >= 1, got {cfg['scan'][key]!r}"
+                f"[{section}] {key} must be an integer >= {least}, got {cfg[section][key]!r}"
             )
+    _scan_box(cfg["scan"])
     return cfg
 
 
+def _scan_box(scan: dict) -> dict:
+    """The scan family's default box, with each ``box_<p>`` key replacing the
+    bounds of parameter ``<p>``; the box keeps the family's parameter order."""
+    box = default_box(scan["family"])
+    for key, text in scan.items():
+        if not key.startswith("box_"):
+            continue
+        name = key[len("box_"):]
+        if name not in box:
+            raise InvalidParamsError(
+                f"[scan] {key}: {scan['family']} has no parameter {name!r} (it has {list(box)})"
+            )
+        bounds = [_maybe_number(part) for part in text.split(",")]
+        if not (
+            len(bounds) == 2
+            and all(isinstance(b, float) and math.isfinite(b) for b in bounds)
+            and bounds[0] < bounds[1]
+        ):
+            raise InvalidParamsError(f"[scan] {key} must be 'lo, hi' with finite lo < hi, got {text!r}")
+        box[name] = tuple(bounds)
+    return box
+
+
 def build_instance(cfg: dict) -> HardyInstance:
+    """The configured instance.  A value that is not what its key needs (a
+    domain that is not a nonempty ``lo, hi`` interval, a non-numeric ``beta``
+    or ``M``) raises InvalidParamsError."""
     section = dict(cfg.get("instance", {}))
     if not section:
         raise InvalidParamsError("config has no [instance] section")
     name = section.pop("preset", None)
     if name is None:
         raise InvalidParamsError("[instance] must set 'preset' (a preset name or 'raw')")
-    if name == "raw":
-        return _build_raw_instance(section)
-    kwargs = {}
-    for key, value in section.items():
-        if key == "domain":
-            kwargs[key] = interval_from_text(value)
-        elif key in _EXPR_KEYS:
-            kwargs[key] = value
-        else:
-            kwargs[key] = _maybe_number(value)
-    return preset(name, **kwargs)
+    try:
+        if name == "raw":
+            return _build_raw_instance(section)
+        kwargs = {}
+        for key, value in section.items():
+            if key == "domain":
+                kwargs[key] = interval_from_text(value)
+            elif key in _EXPR_KEYS:
+                kwargs[key] = value
+            else:
+                kwargs[key] = _maybe_number(value)
+        return preset(name, **kwargs)
+    except ValueError as err:
+        raise InvalidParamsError(f"bad [instance] value: {err}") from err
 
 
 def _maybe_number(text):
@@ -356,13 +398,9 @@ def cmd_verify(cfg: dict, inst: HardyInstance, label: str = "verify") -> int:
 
 def cmd_scan(cfg: dict, inst: HardyInstance, label: str = "scan") -> int:
     s = cfg["scan"]
-    box = {}
-    for key, value in s.items():
-        if key.startswith("box_"):
-            box[key[4:]] = tuple(float(part) for part in value.split(","))
     spec = FamilySpec(
         kind=s["family"],
-        box=box or dict(default_box(s["family"])),
+        box=_scan_box(s),
         restarts=int(s["restarts"]),
         seed=int(s["seed"]),
     )
@@ -490,7 +528,7 @@ def main(argv=None) -> int:
         if inst is None:
             return EXIT_MATH
         return commands[args.command](cfg, inst)
-    except (ParseError, InvalidParamsError, KeyError, ValueError) as err:
+    except (ParseError, InvalidParamsError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except HardyLabError as err:

@@ -582,6 +582,9 @@ def interval_from_text(text: str) -> Interval:
 # ---------------------------------------------------------------------------
 # singular point detection
 
+# Midpoint samples per scan, for singular and zero scans and exponent extrema.
+SCAN_GRID = 4096
+
 
 @dataclass
 class SingularScan:
@@ -617,15 +620,15 @@ def _singularity_generators(e: Expr, acc: list):
         _singularity_generators(child, acc)
 
 
-def singular_points(e: Expr, interval: Interval, grid: int = 4096) -> list[float]:
+def singular_points(e: Expr, interval: Interval) -> list[float]:
     """Sorted interior points of ``interval`` where ``e`` or its derivative is
     non-smooth or a denominator/abs/log argument vanishes."""
-    return singular_scan(e, interval, grid).points
+    return singular_scan(e, interval).points
 
 
-def _scan_grid(interval: Interval, grid: int) -> list[float]:
+def _scan_grid(interval: Interval) -> list[float]:
     # scan the closure: endpoint zeros matter for quadrature splitting
-    xs = interval.midpoint_grid(grid)
+    xs = interval.midpoint_grid(SCAN_GRID)
     if math.isfinite(interval.lo):
         xs = [interval.lo] + xs
     if math.isfinite(interval.hi):
@@ -708,19 +711,19 @@ def _fn_zeros(fn, xs: list[float]) -> tuple[list[float], list[float]]:
     return seen, suspected
 
 
-def zero_scan(e: Expr, interval: Interval, grid: int = 4096) -> SingularScan:
+def zero_scan(e: Expr, interval: Interval) -> SingularScan:
     """Zeros of ``e`` itself on the closure of ``interval``."""
-    xs = _scan_grid(interval, grid)
+    xs = _scan_grid(interval)
     seen, suspected = _fn_zeros(compile_fn(e), xs)
     return _collect_scan(seen, suspected, interval)
 
 
-def singular_scan(e: Expr, interval: Interval, grid: int = 4096) -> SingularScan:
+def singular_scan(e: Expr, interval: Interval) -> SingularScan:
     generators: list[Expr] = []
     _singularity_generators(e, generators)
     if not generators:
         return SingularScan()
-    xs = _scan_grid(interval, grid)
+    xs = _scan_grid(interval)
     seen: list[float] = []
     suspected: list[float] = []
     for gen in generators:

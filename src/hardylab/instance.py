@@ -40,7 +40,7 @@ from .expr import (
     sub,
     zero_scan,
 )
-from .quadrature import DEFAULT_TOL, DEFAULT_TOL_ABS, integrate
+from .quadrature import integrate
 from .spaces import VariableExponent, validate_exponent
 
 BETA_MARGIN = 1e-9
@@ -130,9 +130,7 @@ class HardyInstance:
     condition_name: str = ""
     preset: str | None = None
     params: dict = field(default_factory=dict)
-    phi_is_auto: bool = False
     vacuous: bool = False
-    notes: tuple = ()
 
     def __post_init__(self):
         if not self.beta > 0:
@@ -184,15 +182,11 @@ def make_instance(
     u = parse(u, params) if isinstance(u, str) else u
     sigma = parse(sigma, params) if isinstance(sigma, str) else sigma
     vp = validate_exponent(p, domain)
-    phi_is_auto = phi is None
     if phi is None:
         phi = negative_divergence_expr(u, p)
     elif isinstance(phi, str):
         phi = parse(phi, params)
-    return HardyInstance(
-        domain, vp, u, phi, sigma, float(beta),
-        phi_is_auto=phi_is_auto, params=params, **kwargs,
-    )
+    return HardyInstance(domain, vp, u, phi, sigma, float(beta), params=params, **kwargs)
 
 
 def negative_divergence_expr(u: Expr, p: Expr) -> Expr:
@@ -225,8 +219,8 @@ def pointwise_condition_expr(inst: HardyInstance) -> Expr:
     return mul(inst.phi, inst.u) + mul(inst.sigma, pow_(abs_(inst.u_prime), inst.vp.p))
 
 
-def _sample_points(interval: Interval, grid_size: int, singulars=()) -> list[float]:
-    pts = interval.midpoint_grid(grid_size)
+def _sample_points(interval: Interval, singulars=()) -> list[float]:
+    pts = interval.midpoint_grid(ADMISSIBILITY_GRID)
     for s in singulars:
         for x in (s - 1e-6, s + 1e-6):
             if interval.contains(x):
@@ -234,41 +228,37 @@ def _sample_points(interval: Interval, grid_size: int, singulars=()) -> list[flo
     return pts
 
 
-def check_nonneg(
-    e: Expr,
-    interval: Interval,
-    grid_size: int = ADMISSIBILITY_GRID,
-    name: str = "nonnegative",
-    tol: float = POINTWISE_TOL,
-) -> ConditionReport:
-    """Grid verdict on ``e >= 0``: sampled at grid points plus small offsets
-    around the expression's singular points."""
-    sing = singular_points(e, interval)
-    pts = _sample_points(interval, grid_size, sing)
+def _sample(e: Expr, pts: list[float]):
+    """The points where ``e`` evaluates to a number, its values there, and the
+    count of the other points (NaN or outside e's domain).  Points and values
+    are empty when the others are more than a fifth of ``pts``."""
     fn = compile_fn(e)
-    worst = math.inf
-    witness = None
-    skipped = 0
-    values_seen = 0
-    scale = 0.0
+    xs, vs = [], []
     for x in pts:
         try:
             v = fn(x)
         except EvalDomainError:
-            skipped += 1
             continue
-        if math.isnan(v):
-            skipped += 1
-            continue
-        values_seen += 1
-        scale = max(scale, abs(v))
-        if v < worst:
-            worst = v
-            witness = x
-    if values_seen == 0 or skipped > 0.2 * len(pts):
+        if not math.isnan(v):
+            xs.append(x)
+            vs.append(v)
+    skipped = len(pts) - len(vs)
+    if skipped > 0.2 * len(pts):
+        return [], [], skipped
+    return xs, vs, skipped
+
+
+def check_nonneg(e: Expr, interval: Interval, name: str = "nonnegative") -> ConditionReport:
+    """Grid verdict on ``e >= 0``, within ``POINTWISE_TOL`` relative to the
+    largest sampled magnitude: sampled at ``ADMISSIBILITY_GRID`` points plus
+    small offsets around the expression's singular points."""
+    xs, vs, skipped = _sample(e, _sample_points(interval, singular_points(e, interval)))
+    if not vs:
         return ConditionReport(name, INDETERMINATE, math.nan, None, skipped)
-    verdict = HOLDS if worst >= -tol * max(1.0, scale) else VIOLATED
-    return ConditionReport(name, verdict, worst, witness if verdict == VIOLATED else None, skipped)
+    worst = min(vs)
+    verdict = HOLDS if worst >= -POINTWISE_TOL * max(1.0, max(map(abs, vs))) else VIOLATED
+    witness = xs[vs.index(worst)] if verdict == VIOLATED else None
+    return ConditionReport(name, verdict, worst, witness, skipped)
 
 
 def check_admissibility(inst: HardyInstance) -> AdmissibilityReport:
@@ -290,33 +280,19 @@ def check_admissibility(inst: HardyInstance) -> AdmissibilityReport:
 
 
 def _beta_gap_condition(inst: HardyInstance) -> ConditionReport:
-    pts = _sample_points(inst.domain, ADMISSIBILITY_GRID, inst.split_points)
-    for endpoint in (inst.domain.lo, inst.domain.hi):
-        if math.isfinite(endpoint):
-            pts.append(endpoint)
-    fn = compile_fn(inst.sigma)
-    sup = -math.inf
-    witness = None
-    skipped = 0
-    for x in pts:
-        try:
-            v = fn(x)
-        except EvalDomainError:
-            skipped += 1
-            continue
-        if v > sup:
-            sup = v
-            witness = x
-    if not math.isfinite(sup) or skipped > 0.2 * len(pts):
+    pts = _sample_points(inst.domain, inst.split_points)
+    pts += [end for end in (inst.domain.lo, inst.domain.hi) if math.isfinite(end)]
+    xs, vs, skipped = _sample(inst.sigma, pts)
+    sup = max(vs, default=math.nan)
+    if not math.isfinite(sup):
         return ConditionReport("beta-margin", INDETERMINATE, math.nan, None, skipped)
     margin = inst.beta - sup
     verdict = HOLDS if margin >= BETA_MARGIN else VIOLATED
-    return ConditionReport(
-        "beta-margin", verdict, margin, witness if verdict == VIOLATED else None, skipped
-    )
+    witness = xs[vs.index(sup)] if verdict == VIOLATED else None
+    return ConditionReport("beta-margin", verdict, margin, witness, skipped)
 
 
-def weak_pdi_residual(inst: HardyInstance, w, tol: float = DEFAULT_TOL) -> float:
+def weak_pdi_residual(inst: HardyInstance, w) -> float:
     """LHS - RHS of the weak form: integral of |u'|^(p-2) u' w' minus the
     integral of Phi w over the support of the test function ``w``.
 
@@ -350,11 +326,11 @@ def weak_pdi_residual(inst: HardyInstance, w, tol: float = DEFAULT_TOL) -> float
 
     lhs = integrate(
         lhs_integrand, Interval(lo, hi), split_at=splits,
-        endpoint_singular=(True, True), tol=tol, tol_abs=DEFAULT_TOL_ABS,
+        endpoint_singular=(True, True),
     )
     rhs = integrate(
         rhs_integrand, Interval(lo, hi), split_at=splits,
-        endpoint_singular=(True, True), tol=tol, tol_abs=DEFAULT_TOL_ABS,
+        endpoint_singular=(True, True),
     )
     return lhs.value - rhs.value
 
@@ -471,21 +447,13 @@ def preset(name: str, **params) -> HardyInstance:
     """Construct a named instance family with its admissibility condition
     attached.  See ``docs/config.md`` for the parameter list of each preset.
     """
-    builders = {
-        "cor51": _preset_distance,
-        "cor53": _preset_power,
-        "cor54": _preset_reciprocal,
-        "cor55": _preset_exponential,
-        "cor64": _preset_power_normalized,
-        "constp": _preset_constant_exponent,
-    }
-    if name not in builders:
+    if name not in _PRESETS:
         raise InvalidParamsError(f"unknown preset {name!r}")
-    return builders[name](**params)
+    return _PRESETS[name](**params)
 
 
 def preset_names() -> list[str]:
-    return ["cor51", "cor53", "cor54", "cor55", "cor64", "constp"]
+    return list(_PRESETS)
 
 
 def _parse_arg(value, params=None):
@@ -641,3 +609,13 @@ def _preset_constant_exponent(
         vacuous=cond is not None and _is_zero_const(cond),
     )
     return inst
+
+
+_PRESETS = {
+    "cor51": _preset_distance,
+    "cor53": _preset_power,
+    "cor54": _preset_reciprocal,
+    "cor55": _preset_exponential,
+    "cor64": _preset_power_normalized,
+    "constp": _preset_constant_exponent,
+}

@@ -99,7 +99,7 @@ def _gk15(f, a, b):
     return k15 * half, err
 
 
-def _adaptive_gk(f, a, b, tol_rel, tol_abs, max_depth):
+def _adaptive_gk(f, a, b, tol_rel, tol_abs):
     """Heap-driven bisection; deterministic via insertion-order tie breaks."""
     value, err = _gk15(f, a, b)
     evals = 15
@@ -117,7 +117,7 @@ def _adaptive_gk(f, a, b, tol_rel, tol_abs, max_depth):
         if counter > 4000:
             break
         neg_err, _, lo, hi, val, e, depth = heapq.heappop(heap)
-        if depth >= max_depth:
+        if depth >= MAX_DEPTH:
             frozen.append((neg_err, 0, lo, hi, val, e, depth))
             if not heap:
                 break
@@ -261,43 +261,26 @@ def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
     return value, max(err if math.isfinite(err) else abs(value), floor), evals, STATUS_MAX_DEPTH
 
 
-@dataclass
-class _Panel:
-    f: Callable[[float], float]
-    a: float
-    b: float
-    left_singular: bool
-    right_singular: bool
-    force_de: bool = False
-
-    @property
-    def wide(self) -> bool:
-        if self.a > 0 and self.b / self.a > _WIDE_RATIO:
-            return True
-        if self.b < 0 and self.a / self.b > _WIDE_RATIO:
-            return True
-        return False
+def _wide(a, b) -> bool:
+    """True when a panel away from 0 spans more than ``_WIDE_RATIO``."""
+    return (a > 0 and b / a > _WIDE_RATIO) or (b < 0 and a / b > _WIDE_RATIO)
 
 
-def _map_right_infinite(f, c):
+def _map_infinite(f, c, sign):
+    """``f`` on the side of ``c`` given by ``sign`` (+1 right, -1 left),
+    pulled back to (0, 1) by ``x = c + sign * t/(1-t)``."""
     def g(t):
         s = 1.0 - t
-        return f(c + t / s) / (s * s)
-    return g
-
-
-def _map_left_infinite(f, c):
-    def g(t):
-        s = 1.0 - t
-        return f(c - t / s) / (s * s)
+        return f(c + sign * (t / s)) / (s * s)
     return g
 
 
 def _build_panels(f, interval, split_at, endpoint_singular, singular_splits=()):
+    """Panels ``(f, a, b, left_singular, right_singular)`` in order."""
     a, b = interval.lo, interval.hi
     left_flag, right_flag = endpoint_singular
     splits = sorted({s for s in split_at if a < s < b and math.isfinite(s)})
-    if math.isinf(a) and math.isinf(b) and not any(math.isfinite(s) for s in splits):
+    if math.isinf(a) and math.isinf(b) and not splits:
         splits = [0.0]
     hot = set()
     for s in singular_splits:
@@ -305,23 +288,19 @@ def _build_panels(f, interval, split_at, endpoint_singular, singular_splits=()):
             if abs(q - s) <= 1e-12 * (1.0 + abs(s)):
                 hot.add(q)
 
-    edges = [a] + list(splits) + [b]
+    edges = [a] + splits + [b]
     panels = []
     for i in range(len(edges) - 1):
         lo, hi = edges[i], edges[i + 1]
         lflag = (left_flag if i == 0 else False) or lo in hot
         rflag = (right_flag if i == len(edges) - 2 else False) or hi in hot
-        if math.isinf(lo) and math.isinf(hi):
-            # no finite split was available; handled by the inserted 0.0
-            raise AssertionError("unreachable: doubly infinite panel")
+        # a mapped infinite side sits at t = 1 and is always singular
         if math.isinf(hi):
-            g = _map_right_infinite(f, lo)
-            panels.append(_Panel(g, 0.0, 1.0, lflag, True, force_de=True))
+            panels.append((_map_infinite(f, lo, 1.0), 0.0, 1.0, lflag, True))
         elif math.isinf(lo):
-            g = _map_left_infinite(f, hi)
-            panels.append(_Panel(g, 0.0, 1.0, rflag, True, force_de=True))
+            panels.append((_map_infinite(f, hi, -1.0), 0.0, 1.0, rflag, True))
         else:
-            panels.append(_Panel(f, lo, hi, lflag, rflag))
+            panels.append((f, lo, hi, lflag, rflag))
     return panels
 
 
@@ -332,10 +311,10 @@ def integrate(
     endpoint_singular: tuple[bool, bool] = (False, False),
     tol: float = DEFAULT_TOL,
     tol_abs: float = DEFAULT_TOL_ABS,
-    max_depth: int = MAX_DEPTH,
     singular_splits: Sequence[float] = (),
 ) -> QuadratureResult:
-    """Integrate ``f`` over ``interval`` with splits at interior points.
+    """Integrate ``f`` over ``interval`` with splits at interior points, in
+    one pass over the panels.
 
     ``endpoint_singular`` flags the original left/right endpoints; flagged
     panels use tanh-sinh quadrature, which also supplies the divergence
@@ -343,42 +322,32 @@ def integrate(
     adjacent panels need the same treatment.  Infinite endpoints are mapped
     by ``x = t/(1-t)`` (mirrored on the left) before splitting, and the
     mapped far side is always treated as singular.
+
+    Each panel gets ``tol`` and an equal share of ``tol_abs``.  The status is
+    the worst panel status, and ``max-depth`` also when every panel converged
+    but the summed error bound exceeds ``max(tol_abs, tol * |value|)``.
+    Nothing is retried here (callers that retry, such as the verification
+    pipeline, call again), so ``evaluations`` counts every evaluation made.
     """
     if tol <= 0 or tol_abs <= 0:
         raise ValueError("tolerances must be positive")
     panels = _build_panels(f, interval, split_at, endpoint_singular, singular_splits)
-    n = len(panels)
-
-    tighten = 1.0
-    for _attempt in range(3):
-        value = 0.0
-        err = 0.0
-        evals = 0
-        status = STATUS_CONVERGED
-        panel_tol_abs = max(tol_abs * tighten / n, 1e-300)
-        panel_tol_rel = tol * tighten
-        for panel in panels:
-            use_de = panel.force_de or panel.left_singular or panel.right_singular or panel.wide
-            if use_de:
-                v, e, n_ev, st = _tanh_sinh(
-                    panel.f, panel.a, panel.b,
-                    panel.left_singular, panel.right_singular,
-                    panel_tol_rel, panel_tol_abs,
-                )
-            else:
-                v, e, n_ev, st = _adaptive_gk(
-                    panel.f, panel.a, panel.b,
-                    panel_tol_rel, panel_tol_abs, max_depth,
-                )
-            value += v
-            err += e
-            evals += n_ev
-            status = max(status, st, key=_STATUS_RANK.get)
-            if status == STATUS_DIVERGENT:
-                return QuadratureResult(value, max(err, abs(value)), evals, status)
-        requested = max(tol_abs, tol * abs(value))
-        if err <= requested or status != STATUS_CONVERGED:
-            return QuadratureResult(value, err, evals, status)
-        tighten *= 0.125
-    # tolerance could not be met even after tightening; report honestly
-    return QuadratureResult(value, err, evals, STATUS_MAX_DEPTH)
+    panel_tol_abs = max(tol_abs / len(panels), 1e-300)
+    value = 0.0
+    err = 0.0
+    evals = 0
+    status = STATUS_CONVERGED
+    for g, a, b, left, right in panels:
+        if left or right or _wide(a, b):
+            v, e, n_ev, st = _tanh_sinh(g, a, b, left, right, tol, panel_tol_abs)
+        else:
+            v, e, n_ev, st = _adaptive_gk(g, a, b, tol, panel_tol_abs)
+        value += v
+        err += e
+        evals += n_ev
+        status = max(status, st, key=_STATUS_RANK.get)
+        if status == STATUS_DIVERGENT:
+            return QuadratureResult(value, max(err, abs(value)), evals, status)
+    if err > max(tol_abs, tol * abs(value)):
+        status = STATUS_MAX_DEPTH
+    return QuadratureResult(value, err, evals, status)

@@ -27,9 +27,8 @@ class FamilySpec:
     """Parameter box for one scan family.
 
     ``box`` maps parameter names to (lo, hi) bounds in a fixed order;
-    ``fixed`` pins any family parameter that is not scanned.  ``anchor``
-    overrides the deterministic first start (defaults to the family's
-    preferred corner).
+    ``fixed`` pins any family parameter that is not scanned.  The first
+    start is the family's preferred corner of the box.
     """
 
     kind: str = "hardy_cutoff"
@@ -37,7 +36,6 @@ class FamilySpec:
     restarts: int = 3
     seed: int = 0
     fixed: dict = field(default_factory=dict)
-    anchor: dict | None = None
 
     def __post_init__(self):
         if not self.box:
@@ -227,7 +225,7 @@ def scan(
         state["evals"] += 1
         return value
 
-    anchor = spec.anchor or _default_anchor(spec.kind, spec.box)
+    anchor = _default_anchor(spec.kind, spec.box)
     rng = np.random.default_rng(spec.seed)
     starts = [np.array([anchor[n] for n in names], dtype=float)]
     for _ in range(spec.restarts - 1):

@@ -21,7 +21,9 @@ from .errors import (
     IntegrabilityProbeError,
     NoFiniteBracketError,
 )
-from .expr import Expr, Interval, abs_, compile_fn, differentiate, golden_min, pow_, singular_points
+from .expr import (
+    SCAN_GRID, Expr, Interval, abs_, compile_fn, differentiate, golden_min, pow_, singular_points,
+)
 from .quadrature import (
     DEFAULT_TOL,
     DEFAULT_TOL_ABS,
@@ -55,8 +57,8 @@ class VariableExponent:
     split_points: tuple = ()
 
 
-def validate_exponent(p: Expr, domain: Interval, grid: int = 4096) -> VariableExponent:
-    """Check that ``p`` stays in (1, infinity) on a sampling grid and return
+def validate_exponent(p: Expr, domain: Interval) -> VariableExponent:
+    """Check that ``p`` stays in (1, infinity) on ``SCAN_GRID`` samples and return
     the exponent with its sampled extrema.
 
     The out-of-range decision is made from the base grid samples; the
@@ -64,7 +66,7 @@ def validate_exponent(p: Expr, domain: Interval, grid: int = 4096) -> VariableEx
     numerical caveat and may creep toward 1 at isolated interior points).
     """
     fn = compile_fn(p)
-    xs = domain.midpoint_grid(grid)
+    xs = domain.midpoint_grid(SCAN_GRID)
     vals = []
     for x in xs:
         try:
@@ -199,12 +201,14 @@ def modular(
 
 
 BRACKET_CAP = 1e12
+# Relative and absolute tolerance of every modular a norm computes.
+NORM_TOL = 1e-9
 NORM_TOL_ABS = 1e-13
 # Half-width, in log(lambda), added to the bracket from the sampled extrema.
 BRACKET_SLACK = 1e-3
 
 
-def luxemburg_norm(f, vp: VariableExponent, tol: float = 1e-9) -> float:
+def luxemburg_norm(f, vp: VariableExponent) -> float:
     """inf of lambda > 0 with modular(f / lambda) <= 1.
 
     The norm lies between ``rho^(1/p_plus)`` and ``rho^(1/p_minus)`` for
@@ -227,9 +231,9 @@ def luxemburg_norm(f, vp: VariableExponent, tol: float = 1e-9) -> float:
 
     def scaled_modular(lam):
         scaled = Integrand(lambda x: fn(x) / lam, support, splits)
-        return modular(scaled, vp, tol=tol, tol_abs=NORM_TOL_ABS).value
+        return modular(scaled, vp, tol=NORM_TOL, tol_abs=NORM_TOL_ABS).value
 
-    r = modular(f, vp, tol=tol, tol_abs=NORM_TOL_ABS)
+    r = modular(f, vp, tol=NORM_TOL, tol_abs=NORM_TOL_ABS)
     rho = r.value
     if rho == 0.0:
         return 0.0
@@ -237,7 +241,7 @@ def luxemburg_norm(f, vp: VariableExponent, tol: float = 1e-9) -> float:
         raise NoFiniteBracketError(f"modular(f) is {rho!r} ({r.status})")
     if not vp.numerical:
         lam = rho ** (1.0 / vp.p_minus)
-        if rho * tol < NORM_TOL_ABS:
+        if rho * NORM_TOL < NORM_TOL_ABS:
             lam *= scaled_modular(lam) ** (1.0 / vp.p_minus)
         return lam
 

@@ -45,6 +45,10 @@ PASS = "pass"
 FAIL = "fail"
 INDETERMINATE = "indeterminate"
 
+# Midpoint samples across a test function's support, for its validation and
+# for locating where it crosses 1.
+TEST_GRID = 512
+
 
 @dataclass
 class TestFunction:
@@ -73,10 +77,10 @@ class TestFunction:
             return 0.0
         return self._df(x)
 
-    def validate(self, samples: int = 512):
+    def validate(self):
         if not self.support.finite:
             raise InvalidTestFunctionError("support must be compact")
-        xs = self.support.midpoint_grid(samples)
+        xs = self.support.midpoint_grid(TEST_GRID)
         vals = [self(x) for x in xs]
         if any(v < 0 for v in vals):
             raise InvalidTestFunctionError(f"{self.kind} takes negative values")
@@ -124,7 +128,7 @@ def tent(center: float, halfwidth: float, height: float = 1.0) -> TestFunction:
     ).validate()
 
 
-def spline_bump(support: Interval, knot_values, rng=None) -> TestFunction:
+def spline_bump(support: Interval, knot_values) -> TestFunction:
     """Square of a clamped cubic spline through random interior knots.
 
     Squaring keeps the function nonnegative and C^1 with edge exponent 4
@@ -238,7 +242,7 @@ def _tlogt_view(tf: TestFunction) -> Integrand:
 
     # t log t vanishes again at t = 1; |g|^p has a kink wherever tf crosses
     # 1, so those crossings become quadrature splits
-    xs = tf.support.midpoint_grid(512)
+    xs = tf.support.midpoint_grid(TEST_GRID)
     crossings, _ = _fn_zeros(lambda x: tf(x) - 1.0, xs)
     return Integrand(g, tf.support, tuple(sorted(set(tf.split_points) | set(crossings))))
 
@@ -412,7 +416,7 @@ def random_test_function(inst: HardyInstance, rng, family: str = "power_bump") -
         m = float(rng.uniform(win.lo + r, win.hi - r))
         n = int(rng.integers(2, 5))
         values = rng.uniform(0.2, 1.2, size=n)
-        return spline_bump(Interval(m - r, m + r), values, rng)
+        return spline_bump(Interval(m - r, m + r), values)
     raise InvalidTestFunctionError(f"unknown family {family!r}")
 
 

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from hardylab import cli
 from hardylab.cli import (
     EXIT_INDETERMINATE,
     EXIT_MATH,
@@ -332,3 +333,93 @@ def test_scan_counts_must_be_positive_integers(tmp_path, monkeypatch, key, value
     monkeypatch.setenv(f"HARDYLAB_SCAN_{key.upper()}", value)
     with pytest.raises(InvalidParamsError):
         load_config(None)
+
+
+def test_scan_box_key_replaces_one_parameter(tmp_path):
+    out = tmp_path / "out"
+    cfg = _write_config(
+        tmp_path,
+        "[instance]\npreset = constp\n[scan]\nbudget = 1\nbox_eps = 0.01, 0.3\n"
+        f"[output]\ndir = {out}\n",
+    )
+    assert main(["scan", "--config", cfg]) == EXIT_OK
+    record = parse_json((out / "scan.json").read_bytes())
+    assert record.payload["box"] == {
+        "eps": [0.01, 0.3], "log10_inner": [-40.0, -1.0], "log10_outer": [1.0, 40.0],
+    }
+    assert record.payload["best_params"]["eps"] == 0.01  # the anchor corner
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("box_foo = 0, 1", "'foo'"),
+        ("box_eps = 0.3, 0.01", "box_eps"),
+        ("box_eps = 0.1", "box_eps"),
+        ("box_eps = 0.1, 0.2, 0.3", "box_eps"),
+        ("box_eps = a, b", "box_eps"),
+        ("box_eps = 0.1, inf", "box_eps"),
+        ("box_eps = nan, 0.2", "box_eps"),
+    ],
+)
+def test_bad_scan_box_rejected_before_the_instance(tmp_path, capsys, line, message):
+    cfg = _write_config(
+        tmp_path,
+        f"[instance]\npreset = constp\n[scan]\nbudget = 1\n{line}\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n",
+    )
+    assert main(["scan", "--config", cfg]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "section, line",
+    [
+        ("verification", "count = many"),
+        ("verification", "count = 2.5"),
+        ("verification", "seed = -1"),
+        ("verification", "seed = seven"),
+        ("scan", "seed = -3"),
+        ("scan", "max_ratio = nan"),
+        ("scan", "max_ratio = 0"),
+        ("scan", "max_ratio = big"),
+    ],
+)
+def test_bad_count_seed_and_max_ratio_exit_2_from_load_config(tmp_path, section, line):
+    cfg = _write_config(
+        tmp_path,
+        f"[instance]\npreset = cor51\n[{section}]\n{line}\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n",
+    )
+    with pytest.raises(InvalidParamsError):
+        load_config(cfg)
+    command = "verify" if section == "verification" else "scan"
+    assert main([command, "--config", cfg]) == EXIT_USAGE
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "preset = cor51\ndomain = 0.5, -0.5",  # empty interval
+        "preset = cor51\ndomain = 0.5",  # not a pair
+        "preset = cor51\nM = wide",
+        "preset = cor51\nbeta = big",
+        "preset = raw\np = 2\nu = 1 - abs(x)\nsigma = 1\nbeta = big\ndomain = -1, 1",
+    ],
+)
+def test_bad_instance_value_exits_2(tmp_path, capsys, body):
+    cfg = _write_config(tmp_path, f"[instance]\n{body}\n[output]\ndir = {tmp_path / 'out'}\n")
+    assert main(["check", "--config", cfg]) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
+def test_internal_error_is_not_a_usage_error(tmp_path, monkeypatch):
+    def broken(cfg, inst):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "cmd_check", broken)
+    cfg = _write_config(tmp_path, "[instance]\npreset = cor51\n")
+    with pytest.raises(KeyError):
+        main(["check", "--config", cfg])

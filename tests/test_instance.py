@@ -15,6 +15,7 @@ from hardylab.instance import (
     make_instance,
     pointwise_condition_expr,
     preset,
+    preset_names,
     weak_pdi_residual,
 )
 from hardylab.verify import tent
@@ -291,7 +292,7 @@ def test_every_shipped_preset_passes_checks():
         report = check_admissibility(inst)
         assert report.admissible, (name, kwargs)
         if inst.condition is not None:
-            cond = check_nonneg(inst.condition, inst.domain, grid_size=10_000)
+            cond = check_nonneg(inst.condition, inst.domain)
             assert cond.verdict == "holds-numerically", (name, kwargs)
 
 
@@ -303,3 +304,19 @@ def test_measure_densities_nonnegative_on_grids():
         for x in inst.domain.midpoint_grid(400):
             assert f1(x) >= -1e-12, (name, x)
             assert f2(x) >= 0.0, (name, x)
+
+
+def test_beta_gap_counts_nan_sigma_as_skipped():
+    # exp(1000 x) overflows to inf beyond x = 0.71, where sigma is inf - inf,
+    # so sigma is NaN on about 29% of the grid: too few samples to decide
+    sigma = parse("exp(1000*x) - exp(1000*x)")
+    inst = make_instance(Interval(0, 1), "2", "x", None, sigma, 2.0)
+    gap = check_admissibility(inst).condition("beta-margin")
+    assert gap.verdict == "indeterminate"
+    assert 0.25 * 10_000 < gap.skipped < 0.35 * 10_000
+
+
+def test_preset_names_are_the_preset_table():
+    assert preset_names() == ["cor51", "cor53", "cor54", "cor55", "cor64", "constp"]
+    for name in preset_names():
+        assert preset(name).preset == name

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hardylab import quadrature
 from hardylab.expr import Interval
 from hardylab.quadrature import (
     STATUS_CONVERGED,
@@ -182,3 +183,26 @@ def test_result_addition_tracks_worst_status():
 def test_invalid_tolerance_rejected():
     with pytest.raises(ValueError):
         integrate(lambda x: 1.0, Interval(0, 1), tol=0.0)
+
+
+def test_single_pass_reports_every_evaluation(monkeypatch):
+    # the two panels converge, but their values cancel, so the summed error
+    # bound cannot meet tol_abs = 1e-300: one pass, then max-depth
+    panel_calls = []
+    real_gk = quadrature._adaptive_gk
+
+    def counting_gk(*args):
+        panel_calls.append(args[1:3])
+        return real_gk(*args)
+
+    evaluations = []
+
+    def f(x):
+        evaluations.append(x)
+        return x
+
+    monkeypatch.setattr(quadrature, "_adaptive_gk", counting_gk)
+    r = integrate(f, Interval(-1, 1), split_at=[0.0], tol_abs=1e-300)
+    assert panel_calls == [(-1.0, 0.0), (0.0, 1.0)]
+    assert r.evaluations == len(evaluations) == 30
+    assert r.status == STATUS_MAX_DEPTH
