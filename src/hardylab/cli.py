@@ -46,7 +46,7 @@ from .instance import (
 )
 from .report import emit_csv, emit_json, make_record
 from .sharpness import FamilySpec, default_box, scan
-from .verify import FAIL, INDETERMINATE, PASS, batch_verify
+from .verify import BATCH_KINDS, FAIL, FAMILIES, INDETERMINATE, PASS, batch_verify
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -197,6 +197,11 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
         if not (isinstance(value, float) and 0.0 < value < math.inf):
             raise InvalidParamsError(
                 f"[{section}] {key} must be finite and positive, got {cfg[section][key]!r}"
+            )
+    for key, allowed in (("family", FAMILIES), ("which", (*BATCH_KINDS, "both"))):
+        if cfg["verification"][key] not in allowed:
+            raise InvalidParamsError(
+                f"[verification] {key} must be one of {allowed}, got {cfg['verification'][key]!r}"
             )
     for section, key, least in _INTEGER_KEYS:
         try:

@@ -5,7 +5,9 @@ Panels that touch a flagged singular endpoint (or that were produced by the
 infinite-endpoint transform ``x = t/(1-t)``, or that span a very wide dynamic
 range) are handled by double-exponential (tanh-sinh) quadrature; smooth
 panels use adaptive 7-15 Gauss-Kronrod refinement.  Panel results are summed
-in panel order, so results are deterministic.
+in panel order, so results are deterministic.  Each tanh-sinh level reuses
+the integrand values of the coarser levels' nodes, so ``evaluations`` counts
+distinct integrand calls.
 
 Near a flagged endpoint the integrand is evaluated at plain abscissae, so
 endpoint distances below one ulp of the endpoint are not resolvable; for
@@ -160,64 +162,75 @@ def _tanh_sinh_nodes(t):
     return delta, w
 
 
+_MAX_LEVEL = 9
+_FINE_H = 0.5 ** (_MAX_LEVEL + 1)  # mesh of the finest level
+_FINE_K = int(_T_MAX / _FINE_H)    # last node index on the finest mesh
+# (delta, weight) at t = j * _FINE_H; level l reads every 2^(9-l)-th entry,
+# since its nodes k * 2^-(l+1) are exact in binary
+_NODES = [_tanh_sinh_nodes(j * _FINE_H) for j in range(_FINE_K + 1)]
+
+
 def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
     """Double-exponential quadrature on a finite panel.
 
     Levels halve the mesh in the auxiliary variable; each side's tail is
-    truncated once terms decay below the panel tolerance.  On a flagged
-    singular side, partial sums are tracked at half-unit tail marks; eight
-    consecutive doublings (or any non-finite term) flag the panel as holding
-    a non-integrable singularity.
+    truncated once terms decay below the panel tolerance.  Level l + 1's
+    even nodes are level l's nodes, so integrand values (and the midpoint's)
+    are kept per panel and every node is evaluated once; each level's sum is
+    still formed over all of its nodes in order.  On a flagged singular side,
+    partial sums are tracked at half-unit tail marks; eight consecutive
+    doublings (or any non-finite term) flag the panel as holding a
+    non-integrable singularity.
     """
     half = 0.5 * (b - a)
-    evals = 0
     # truncation threshold on a node's actual contribution (term * h * half)
     trunc = max(1e-3 * tol_abs, 1e-280)
     prev = None
     value = 0.0
     err = math.inf
-    max_level = 9
 
-    saw_nonzero = False
-    for level in range(max_level + 1):
+    fx0 = _call(f, a + half)  # t = 0 node (panel midpoint)
+    evals = 1
+    if not math.isfinite(fx0):
+        return fx0, abs(fx0), evals, STATUS_DIVERGENT
+    saw_nonzero = fx0 != 0.0
+    seen = {-1: {}, +1: {}}  # node index on the finest mesh -> f, per side
+    for level in range(_MAX_LEVEL + 1):
         h = 0.5 ** (level + 1)
+        stride = 1 << (_MAX_LEVEL - level)
         contrib_scale = h * half
         total = 0.0
-        fx0 = _call(f, a + half)  # t = 0 node (panel midpoint)
-        evals += 1
-        if not math.isfinite(fx0):
-            return fx0, abs(fx0), evals, STATUS_DIVERGENT
-        _, w0 = _tanh_sinh_nodes(0.0)
-        total += w0 * fx0
-        saw_nonzero = saw_nonzero or fx0 != 0.0
+        total += _NODES[0][1] * fx0
 
         for side in (-1, +1):
             flagged = left_singular if side < 0 else right_singular
+            values = seen[side]
             partial = 0.0
             small_streak = 0
             marks = []  # |partial sum| at t = 0.5, 1.0, ..., 4.5
             next_mark = 0.5
             wall_hit = False
-            k = 1
-            while True:
-                t = k * h
-                if t > _T_MAX:
-                    break
-                delta, w = _tanh_sinh_nodes(t)
-                x = a + half * delta if side < 0 else b - half * delta
-                if x <= a or x >= b:
-                    # node rounded onto the endpoint: the remaining tail is
-                    # below floating-point resolution
-                    wall_hit = small_streak == 0
-                    break
-                if w == 0.0:
-                    break
-                fx = _call(f, x)
-                evals += 1
-                if not math.isfinite(fx):
-                    if flagged:
-                        return math.inf, math.inf, evals, STATUS_DIVERGENT
-                    return fx, abs(fx), evals, STATUS_DIVERGENT
+            j = stride
+            while j <= _FINE_K:
+                t = j * _FINE_H
+                delta, w = _NODES[j]
+                fx = values.get(j)
+                if fx is None:
+                    x = a + half * delta if side < 0 else b - half * delta
+                    if x <= a or x >= b:
+                        # node rounded onto the endpoint: the remaining tail
+                        # is below floating-point resolution
+                        wall_hit = small_streak == 0
+                        break
+                    if w == 0.0:
+                        break
+                    fx = _call(f, x)
+                    evals += 1
+                    if not math.isfinite(fx):
+                        if flagged:
+                            return math.inf, math.inf, evals, STATUS_DIVERGENT
+                        return fx, abs(fx), evals, STATUS_DIVERGENT
+                    values[j] = fx
                 term = w * fx
                 partial += term
                 saw_nonzero = saw_nonzero or term != 0.0
@@ -231,7 +244,7 @@ def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
                         break
                 else:
                     small_streak = 0
-                k += 1
+                j += stride
             total += partial
             if level == 0 and flagged and len(marks) >= 2:
                 ratios = [

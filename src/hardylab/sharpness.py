@@ -19,7 +19,7 @@ from .errors import InvalidParamsError, VacuousInstanceError
 from .expr import Interval
 from .instance import HardyInstance, build_measures
 from .quadrature import DEFAULT_TOL_ABS
-from .verify import TestFunction, _run_hardy, power_bump
+from .verify import TestFunction, _require_support_inside, _run_hardy, power_bump
 
 
 @dataclass
@@ -152,10 +152,12 @@ def build_family_member(inst: HardyInstance, kind: str, params: dict) -> TestFun
 
 
 def ratio(inst: HardyInstance, xi: TestFunction, tol: float = 1e-6) -> float:
-    """(rhs_main + rhs_log) / lhs for one test function; the instance is
-    vacuous when the left side cannot be distinguished from zero."""
+    """(rhs_main + rhs_log) / lhs for one test function, whose support must
+    lie strictly inside the domain; the instance is vacuous when the left
+    side cannot be distinguished from zero."""
     if inst.vacuous:
         raise VacuousInstanceError("instance has an identically-zero left weight")
+    _require_support_inside(xi, inst.domain)
     mu1, mu2 = build_measures(inst)
     rep = _run_hardy(inst, xi, mu1, mu2, tol, DEFAULT_TOL_ABS)
     if rep.lhs.value <= rep.lhs.error_bound:

@@ -10,6 +10,7 @@ a hundredfold tighter tolerance before reporting.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -128,25 +129,50 @@ def tent(center: float, halfwidth: float, height: float = 1.0) -> TestFunction:
     ).validate()
 
 
+def _ppoly_fn(pp):
+    """Scalar evaluation of a SciPy ``PPoly``, equal to ``float(pp(x))`` bit
+    for bit: the same interval (half-open, the last one closed, ends
+    extrapolated) and the same power-sum order, without SciPy's per-call
+    array overhead."""
+    knots = pp.x.tolist()
+    last = len(knots) - 2
+    # per interval, the coefficients from the constant term up
+    coeffs = [row[::-1] for row in pp.c.T.tolist()]
+
+    def ev(x):
+        i = min(max(bisect_right(knots, x) - 1, 0), last)
+        s = x - knots[i]
+        res = 0.0
+        z = 1.0
+        for c in coeffs[i]:
+            res += c * z
+            z *= s
+        return res
+
+    return ev
+
+
 def spline_bump(support: Interval, knot_values) -> TestFunction:
     """Square of a clamped cubic spline through random interior knots.
 
     Squaring keeps the function nonnegative and C^1 with edge exponent 4
-    (value and slope both vanish at the support boundary).
+    (value and slope both vanish at the support boundary).  SciPy builds the
+    coefficients; evaluation is scalar.
     """
     values = np.asarray(knot_values, dtype=float)
     n = len(values)
     xs = np.linspace(support.lo, support.hi, n + 2)
     ys = np.concatenate([[0.0], values, [0.0]])
-    s = CubicSpline(xs, ys, bc_type="clamped")
-    ds = s.derivative()
+    spline = CubicSpline(xs, ys, bc_type="clamped")
+    s = _ppoly_fn(spline)
+    ds = _ppoly_fn(spline.derivative())
 
     def f(x):
-        v = float(s(x))
+        v = s(x)
         return v * v
 
     def df(x):
-        return 2.0 * float(s(x)) * float(ds(x))
+        return 2.0 * s(x) * ds(x)
 
     return TestFunction(
         "spline-bump", support, 4.0,

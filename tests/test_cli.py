@@ -216,6 +216,38 @@ def test_unknown_key_rejected(tmp_path, section, line):
     assert main(["check", "--config", cfg]) == EXIT_USAGE
 
 
+def test_scan_rejects_support_outside_domain(tmp_path, capsys):
+    # the default hardy_cutoff family reaches up to 2e40, far outside (-1, 1)
+    cfg = _write_config(
+        tmp_path,
+        "[instance]\npreset = cor51\n[scan]\nbudget = 1\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n",
+    )
+    assert main(["scan", "--config", cfg]) == EXIT_MATH
+    captured = capsys.readouterr()
+    assert "support must lie strictly inside the domain" in captured.err
+    assert "vacuous" not in captured.out
+
+
+def test_check_rejects_unknown_verification_family(tmp_path):
+    cfg = _write_config(
+        tmp_path,
+        "[instance]\npreset = cor51\n[verification]\nfamily = nope\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n",
+    )
+    assert main(["check", "--config", cfg]) == EXIT_USAGE
+    assert not (tmp_path / "out").exists()
+
+
+def test_check_rejects_unknown_verification_which_from_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("HARDYLAB_VERIFICATION_WHICH", "both_")
+    cfg = _write_config(
+        tmp_path, f"[instance]\npreset = cor51\n[output]\ndir = {tmp_path / 'out'}\n"
+    )
+    assert main(["check", "--config", cfg]) == EXIT_USAGE
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_key_in_environment_rejected(monkeypatch):
     monkeypatch.setenv("HARDYLAB_VERIFICATION_JOBS", "2")
     with pytest.raises(InvalidParamsError):

@@ -26,6 +26,118 @@ def test_inverse_sqrt_flagged_endpoint():
     assert r.value == pytest.approx(2.0, abs=1e-9)
 
 
+def test_tanh_sinh_levels_evaluate_each_node_once():
+    xs = []
+
+    def f(x):
+        xs.append(x)
+        return x ** -0.5
+
+    r = integrate(f, Interval(0, 1), endpoint_singular=(True, False))
+    # level 2's first new node (t = 1/8) was reached: three levels ran
+    assert 0.5 * quadrature._tanh_sinh_nodes(0.125)[0] in xs
+    assert len(xs) == len(set(xs)) == r.evaluations
+    assert r.status == STATUS_CONVERGED
+    assert abs(r.value - 2.0) <= r.error_bound
+
+
+def _tanh_sinh_every_level_afresh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
+    """Reference: the tanh-sinh rule evaluating every node of every level
+    again, with nodes and weights computed per node."""
+    half = 0.5 * (b - a)
+    trunc = max(1e-3 * tol_abs, 1e-280)
+    prev = None
+    value = 0.0
+    err = math.inf
+    saw_nonzero = False
+    for level in range(10):
+        h = 0.5 ** (level + 1)
+        contrib_scale = h * half
+        total = 0.0
+        fx0 = quadrature._call(f, a + half)
+        if not math.isfinite(fx0):
+            return fx0, abs(fx0), STATUS_DIVERGENT
+        total += quadrature._tanh_sinh_nodes(0.0)[1] * fx0
+        saw_nonzero = saw_nonzero or fx0 != 0.0
+        for side in (-1, +1):
+            flagged = left_singular if side < 0 else right_singular
+            partial = 0.0
+            small_streak = 0
+            marks = []
+            next_mark = 0.5
+            wall_hit = False
+            k = 1
+            while k * h <= quadrature._T_MAX:
+                t = k * h
+                delta, w = quadrature._tanh_sinh_nodes(t)
+                x = a + half * delta if side < 0 else b - half * delta
+                if x <= a or x >= b:
+                    wall_hit = small_streak == 0
+                    break
+                if w == 0.0:
+                    break
+                fx = quadrature._call(f, x)
+                if not math.isfinite(fx):
+                    if flagged:
+                        return math.inf, math.inf, STATUS_DIVERGENT
+                    return fx, abs(fx), STATUS_DIVERGENT
+                term = w * fx
+                partial += term
+                saw_nonzero = saw_nonzero or term != 0.0
+                if level == 0 and flagged:
+                    while next_mark <= 4.5 and t >= next_mark - 1e-12:
+                        marks.append(abs(partial))
+                        next_mark += 0.5
+                if t >= 2.0 and abs(term) * contrib_scale < trunc:
+                    small_streak += 1
+                    if small_streak >= 3:
+                        break
+                else:
+                    small_streak = 0
+                k += 1
+            total += partial
+            if level == 0 and flagged and len(marks) >= 2:
+                ratios = [
+                    marks[i + 1] / marks[i] if marks[i] > 0 else 0.0
+                    for i in range(len(marks) - 1)
+                ]
+                diverging = len(ratios) >= 8 and all(r >= 2.0 for r in ratios[:8])
+                diverging = diverging or (wall_hit and ratios[-1] >= 2.0)
+                if diverging:
+                    v = total * contrib_scale
+                    return v, abs(v), STATUS_DIVERGENT
+        value = total * contrib_scale
+        if not math.isfinite(value):
+            return value, abs(value), STATUS_DIVERGENT
+        floor = 4.0 * trunc if saw_nonzero else 0.0
+        if prev is not None:
+            err = abs(value - prev)
+            if err <= max(tol_abs, tol_rel * abs(value)):
+                return value, max(err, floor), STATUS_CONVERGED
+        prev = value
+    floor = 4.0 * trunc if saw_nonzero else 0.0
+    return value, max(err if math.isfinite(err) else abs(value), floor), STATUS_MAX_DEPTH
+
+
+@pytest.mark.parametrize(
+    "f, a, b, left, right",
+    [
+        (lambda x: x ** -0.5, 0.0, 1.0, True, False),
+        (lambda x: math.log(x), 0.0, 1.0, True, False),
+        (lambda x: x ** -1.5, 0.0, 1.0, True, False),
+        (lambda x: (1.0 - x) ** -0.3 * math.cos(7.0 * x), 0.0, 1.0, False, True),
+        (lambda x: abs(x - 0.37) ** 1.5, 0.0, 1.0, True, True),
+        (lambda x: x ** -0.999, 1e-20, 1.0, True, False),
+        (lambda x: math.exp(-x) * x ** 2.5, 0.5, 3.0, True, True),
+        (lambda x: x ** (-1.0 - x / 2.0), 0.0, 1.0, True, False),
+    ],
+)
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+def test_tanh_sinh_matches_the_rule_that_evaluates_every_level_afresh(f, a, b, left, right, tol):
+    value, err, evals, status = quadrature._tanh_sinh(f, a, b, left, right, tol, 1e-12)
+    assert (value, err, status) == _tanh_sinh_every_level_afresh(f, a, b, left, right, tol, 1e-12)
+
+
 def test_exponential_tail_on_half_line():
     r = integrate(lambda x: math.exp(-x), Interval(0, math.inf))
     assert r.status == STATUS_CONVERGED

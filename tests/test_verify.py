@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from hardylab import sharpness, verify
 from hardylab.errors import InadmissibleInstanceError, InvalidTestFunctionError
@@ -108,6 +109,27 @@ def test_spline_bump_nonnegative_and_clamped():
     for x in (0.25, 0.6):
         fd = (tf(x + h) - tf(x - h)) / (2 * h)
         assert tf.derivative(x) == pytest.approx(fd, abs=1e-5)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_spline_bump_scalar_path_equals_scipy(n):
+    rng = np.random.default_rng(n)
+    support = Interval(-0.3, 1.7)
+    values = rng.uniform(0.2, 1.2, size=n)
+    knots = np.linspace(support.lo, support.hi, n + 2)
+    s = CubicSpline(knots, np.concatenate([[0.0], values, [0.0]]), bc_type="clamped")
+    ds = s.derivative()
+    scalar_s, scalar_ds = verify._ppoly_fn(s), verify._ppoly_fn(ds)
+    tf = spline_bump(support, values)
+    points = [float(x) for x in rng.uniform(support.lo, support.hi, 500)]
+    points += [float(x) for x in knots] + [support.lo, support.hi]
+    for x in points:
+        assert scalar_s(x) == float(s(x))
+        assert scalar_ds(x) == float(ds(x))
+        if support.lo < x < support.hi:
+            v = float(s(x))
+            assert tf(x) == v * v
+            assert tf.derivative(x) == 2.0 * v * float(ds(x))
 
 
 def test_bump_rejects_bad_parameters():
