@@ -11,9 +11,10 @@ Configuration comes from an INI file with sections ``instance``,
 ``HARDYLAB_`` override the file, and command line flags override both.
 Unknown sections or keys, out-of-range values and malformed files are
 config errors, found by :func:`load_config` before any instance is built
-(``[instance]`` values that do not parse, by :func:`build_instance`); only
-config errors exit 2.  Only ``[instance]`` keys read from a file keep their
-case.  See ``docs/config.md`` for every key and its range.
+(``[instance]`` keys that nothing reads and values that do not parse, by
+:func:`build_instance`); only config errors exit 2.  Only ``[instance]``
+keys read from a file keep their case.  See ``docs/config.md`` for every
+key and its range.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     ParseError,
     VacuousInstanceError,
 )
-from .expr import interval_from_text
+from .expr import identifiers, interval_from_text
 from .instance import (
     HardyInstance,
     check_admissibility,
@@ -43,6 +44,7 @@ from .instance import (
     make_instance,
     preset,
     preset_names,
+    preset_parameters,
 )
 from .report import emit_csv, emit_json, make_record
 from .sharpness import FamilySpec, default_box, scan
@@ -84,6 +86,8 @@ _INTEGER_KEYS = (
 )
 
 _EXPR_KEYS = {"p", "u", "phi", "sigma", "A"}
+# the keys of ``preset = raw``
+_RAW_KEYS = ("domain", "p", "u", "phi", "sigma", "beta")
 
 SCENARIOS = {
     "cor51": {
@@ -240,15 +244,16 @@ def _scan_box(scan: dict) -> dict:
 
 
 def build_instance(cfg: dict) -> HardyInstance:
-    """The configured instance.  A value that is not what its key needs (a
-    domain that is not a nonempty ``lo, hi`` interval, a non-numeric ``beta``
-    or ``M``) raises InvalidParamsError."""
+    """The configured instance.  A key that nothing reads, or a value that is
+    not what its key needs (a domain that is not a nonempty ``lo, hi``
+    interval, a non-numeric ``beta`` or ``M``), raises InvalidParamsError."""
     section = dict(cfg.get("instance", {}))
     if not section:
         raise InvalidParamsError("config has no [instance] section")
     name = section.pop("preset", None)
     if name is None:
         raise InvalidParamsError("[instance] must set 'preset' (a preset name or 'raw')")
+    _reject_unused_keys(name, section)
     try:
         if name == "raw":
             return _build_raw_instance(section)
@@ -263,6 +268,20 @@ def build_instance(cfg: dict) -> HardyInstance:
         return preset(name, **kwargs)
     except ValueError as err:
         raise InvalidParamsError(f"bad [instance] value: {err}") from err
+
+
+def _reject_unused_keys(name: str, section: dict):
+    """Each ``[instance]`` key must be a parameter of the preset, or a name
+    that one of the expression keys reads (``d`` in ``p = 1+d/(abs(x)+1)``)."""
+    allowed = set(_RAW_KEYS if name == "raw" else preset_parameters(name))
+    for key in _EXPR_KEYS & section.keys():
+        allowed |= identifiers(section[key])
+    unknown = [key for key in section if key not in allowed]
+    if unknown:
+        raise InvalidParamsError(
+            f"[instance] key {unknown[0]!r} is not a parameter of preset {name!r}, "
+            "and no expression reads it"
+        )
 
 
 def _maybe_number(text):

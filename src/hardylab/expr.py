@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .errors import EvalDomainError, ParseError, UnknownIdentifierError
@@ -271,6 +272,62 @@ def evaluate(e: Expr, x: float) -> float:
     return _compile_cached(e)(x)
 
 
+def eval_grid(e: Expr, xs) -> np.ndarray:
+    """``e`` at every point of ``xs`` as one float array, NaN wherever the
+    closure of :func:`compile_fn` raises EvalDomainError or returns NaN.
+
+    Arithmetic, ``neg``, ``abs``, ``sgn``, ``min`` and ``max`` give the
+    closure's values bit for bit; ``exp``, ``log`` and ``^`` use NumPy's
+    routines, which may differ from ``math`` in the last bits.
+    """
+    xs = np.asarray(xs, dtype=float)
+    bad = np.zeros(xs.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        vals = _grid(e, xs, bad)
+    return np.where(bad, math.nan, vals)
+
+
+def _grid(e: Expr, xs, bad):
+    # the closure evaluates every node, so a domain error at any node marks
+    # its points in ``bad``; a NaN that is not a domain error flows through
+    # sgn, min and max as it does in the closure
+    kind = e.kind
+    if kind == "const":
+        return np.full(xs.shape, e.value)
+    if kind == "x":
+        return xs
+    a = _grid(e.args[0], xs, bad)
+    if kind == "neg":
+        return -a
+    if kind == "exp":
+        return np.exp(a)
+    if kind == "log":
+        bad |= a <= 0.0
+        return np.log(a)
+    if kind == "abs":
+        return np.abs(a)
+    if kind == "sgn":
+        return np.where(a > 0.0, 1.0, np.where(a < 0.0, -1.0, 0.0))
+    b = _grid(e.args[1], xs, bad)
+    if kind == "+":
+        return a + b
+    if kind == "-":
+        return a - b
+    if kind == "*":
+        return a * b
+    if kind == "/":
+        bad |= b == 0.0
+        return a / b
+    if kind == "^":
+        bad |= ((a == 0.0) & (b < 0.0)) | ((a < 0.0) & (b != np.floor(b)))
+        return np.power(a, b)
+    if kind == "min":
+        return np.where(b < a, b, a)  # Python's min(a, b), NaN included
+    if kind == "max":
+        return np.where(b > a, b, a)
+    raise ValueError(f"unknown node kind {kind!r}")
+
+
 # ---------------------------------------------------------------------------
 # differentiation
 
@@ -511,6 +568,16 @@ def parse(text: str, params: dict | None = None) -> Expr:
     return _Parser(text, params).parse()
 
 
+def identifiers(text: str) -> set[str]:
+    """The parameter names ``text`` reads: every name other than ``x`` that
+    is not called as a function."""
+    tokens = _Tokenizer(text).tokens
+    return {
+        value for (kind, value, _), following in zip(tokens, tokens[1:])
+        if kind == "name" and value != "x" and following[0] != "("
+    }
+
+
 # ---------------------------------------------------------------------------
 # intervals
 
@@ -555,11 +622,15 @@ class Interval:
             lo, hi = -span, span
         return Interval(lo, hi, self.lo_open, self.hi_open)
 
-    def midpoint_grid(self, n: int) -> list[float]:
+    def midpoint_array(self, n: int) -> np.ndarray:
         """n cell-midpoint samples; never lands on the endpoints."""
         w = self.window()
         h = (w.hi - w.lo) / n
-        return [w.lo + (i + 0.5) * h for i in range(n)]
+        return w.lo + (np.arange(n) + 0.5) * h
+
+    def midpoint_grid(self, n: int) -> list[float]:
+        """:meth:`midpoint_array` as a list of floats."""
+        return self.midpoint_array(n).tolist()
 
     def compact_exhaustion(self, k: int) -> "Interval | None":
         """Points farther than 1/k from the finite boundary and inside (-k, k)."""
@@ -626,14 +697,11 @@ def singular_points(e: Expr, interval: Interval) -> list[float]:
     return singular_scan(e, interval).points
 
 
-def _scan_grid(interval: Interval) -> list[float]:
+def _scan_grid(interval: Interval) -> np.ndarray:
     # scan the closure: endpoint zeros matter for quadrature splitting
-    xs = interval.midpoint_grid(SCAN_GRID)
-    if math.isfinite(interval.lo):
-        xs = [interval.lo] + xs
-    if math.isfinite(interval.hi):
-        xs = xs + [interval.hi]
-    return xs
+    lo = [interval.lo] if math.isfinite(interval.lo) else []
+    hi = [interval.hi] if math.isfinite(interval.hi) else []
+    return np.concatenate([lo, interval.midpoint_array(SCAN_GRID), hi])
 
 
 def golden_min(fn, a, b, iters):
@@ -664,45 +732,39 @@ def golden_min(fn, a, b, iters):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def _fn_zeros(fn, xs: list[float]) -> tuple[list[float], list[float]]:
-    """Bracketed zeros of ``fn`` along the sample points ``xs``, plus grazing
+def _fn_zeros(fn, xs: np.ndarray, vals: np.ndarray) -> tuple[list[float], list[float]]:
+    """Bracketed zeros of ``fn`` along the sample points ``xs``, where it
+    takes the values ``vals`` (NaN outside its domain), plus grazing
     near-zeros (strict local minima of |fn| that refine to ~0 without a sign
-    change) that cannot be bracketed."""
+    change) that cannot be bracketed.  The arrays only pick the cells;
+    ``brentq`` and the golden-section search refine on the scalar ``fn``."""
+    a, b = vals[:-1], vals[1:]
+    both = ~(np.isnan(a) | np.isnan(b))
+    zero = both & (a == 0.0)
+    # compare signs: the product a * b underflows to zero for tiny values
+    change = both & (((a < 0.0) & (b > 0.0)) | ((a > 0.0) & (b < 0.0)))
     seen: list[float] = []
     suspected: list[float] = []
-    vals = []
-    for x in xs:
-        try:
-            vals.append(fn(x))
-        except EvalDomainError:
-            vals.append(math.nan)
-    graze_candidates = []
-    for i in range(len(xs) - 1):
-        a, b = vals[i], vals[i + 1]
-        if math.isnan(a) or math.isnan(b):
+    for i in np.flatnonzero(zero | change):
+        lo, hi = float(xs[i]), float(xs[i + 1])
+        if zero[i]:
+            seen.append(lo)
             continue
-        if a == 0.0:
-            seen.append(xs[i])
-        elif a * b < 0.0:
-            try:
-                root = brentq(fn, xs[i], xs[i + 1], xtol=1e-14, rtol=8.9e-16)
-                seen.append(float(root))
-            except (ValueError, EvalDomainError):
-                suspected.append(0.5 * (xs[i] + xs[i + 1]))
-        elif (
-            0 < i
-            and not math.isnan(vals[i - 1])
-            and abs(vals[i - 1]) > abs(a) <= abs(b)
-        ):
-            graze_candidates.append((abs(a), i))
-    if vals and vals[-1] == 0.0:
-        seen.append(xs[-1])
+        try:
+            seen.append(float(brentq(fn, lo, hi, xtol=1e-14, rtol=8.9e-16)))
+        except (ValueError, EvalDomainError):
+            suspected.append(0.5 * (lo + hi))
+    if len(vals) and vals[-1] == 0.0:
+        seen.append(float(xs[-1]))
     # refine the deepest interior |fn| dips; a dip that reaches (near) zero
-    # without a sign change is a grazing zero we cannot bracket
-    graze_candidates.sort()
-    for _, i in graze_candidates[:32]:
-        local = abs(vals[i - 1]) + abs(vals[i + 1])
-        x_min, f_min = golden_min(lambda x: abs(fn(x)), xs[i - 1], xs[i + 1], 40)
+    # without a sign change is a grazing zero we cannot bracket.  A NaN
+    # neighbour fails the comparisons, so it never makes a dip.
+    mag = np.abs(vals)
+    dip = both[1:] & ~zero[1:] & ~change[1:] & (mag[:-2] > mag[1:-1]) & (mag[1:-1] <= mag[2:])
+    dips = np.flatnonzero(dip) + 1
+    for i in dips[np.argsort(mag[dips], kind="stable")][:32]:
+        local = mag[i - 1] + mag[i + 1]
+        x_min, f_min = golden_min(lambda x: abs(fn(x)), float(xs[i - 1]), float(xs[i + 1]), 40)
         if f_min <= 1e-9 * (1.0 + local):
             if f_min == 0.0:
                 seen.append(x_min)
@@ -714,7 +776,7 @@ def _fn_zeros(fn, xs: list[float]) -> tuple[list[float], list[float]]:
 def zero_scan(e: Expr, interval: Interval) -> SingularScan:
     """Zeros of ``e`` itself on the closure of ``interval``."""
     xs = _scan_grid(interval)
-    seen, suspected = _fn_zeros(compile_fn(e), xs)
+    seen, suspected = _fn_zeros(compile_fn(e), xs, eval_grid(e, xs))
     return _collect_scan(seen, suspected, interval)
 
 
@@ -727,7 +789,7 @@ def singular_scan(e: Expr, interval: Interval) -> SingularScan:
     seen: list[float] = []
     suspected: list[float] = []
     for gen in generators:
-        pts, sus = _fn_zeros(compile_fn(gen), xs)
+        pts, sus = _fn_zeros(compile_fn(gen), xs, eval_grid(gen, xs))
         seen.extend(pts)
         suspected.extend(sus)
     return _collect_scan(seen, suspected, interval)

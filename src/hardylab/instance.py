@@ -16,10 +16,13 @@ family's admissibility condition.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
-from .errors import EvalDomainError, InvalidParamsError, ZeroSetUnresolvedError
+import numpy as np
+
+from .errors import InvalidParamsError, ZeroSetUnresolvedError
 from .expr import (
     X,
     Expr,
@@ -29,6 +32,7 @@ from .expr import (
     const,
     differentiate,
     div,
+    eval_grid,
     exp,
     log,
     mul,
@@ -219,33 +223,21 @@ def pointwise_condition_expr(inst: HardyInstance) -> Expr:
     return mul(inst.phi, inst.u) + mul(inst.sigma, pow_(abs_(inst.u_prime), inst.vp.p))
 
 
-def _sample_points(interval: Interval, singulars=()) -> list[float]:
-    pts = interval.midpoint_grid(ADMISSIBILITY_GRID)
-    for s in singulars:
-        for x in (s - 1e-6, s + 1e-6):
-            if interval.contains(x):
-                pts.append(x)
-    return pts
+def _sample_points(interval: Interval, singulars=()) -> np.ndarray:
+    near = [x for s in singulars for x in (s - 1e-6, s + 1e-6) if interval.contains(x)]
+    return np.concatenate([interval.midpoint_array(ADMISSIBILITY_GRID), near])
 
 
-def _sample(e: Expr, pts: list[float]):
+def _sample(e: Expr, pts: np.ndarray):
     """The points where ``e`` evaluates to a number, its values there, and the
     count of the other points (NaN or outside e's domain).  Points and values
     are empty when the others are more than a fifth of ``pts``."""
-    fn = compile_fn(e)
-    xs, vs = [], []
-    for x in pts:
-        try:
-            v = fn(x)
-        except EvalDomainError:
-            continue
-        if not math.isnan(v):
-            xs.append(x)
-            vs.append(v)
-    skipped = len(pts) - len(vs)
+    vals = eval_grid(e, pts)
+    ok = ~np.isnan(vals)
+    skipped = len(pts) - int(ok.sum())
     if skipped > 0.2 * len(pts):
-        return [], [], skipped
-    return xs, vs, skipped
+        return pts[:0], vals[:0], skipped
+    return pts[ok], vals[ok], skipped
 
 
 def check_nonneg(e: Expr, interval: Interval, name: str = "nonnegative") -> ConditionReport:
@@ -253,11 +245,12 @@ def check_nonneg(e: Expr, interval: Interval, name: str = "nonnegative") -> Cond
     largest sampled magnitude: sampled at ``ADMISSIBILITY_GRID`` points plus
     small offsets around the expression's singular points."""
     xs, vs, skipped = _sample(e, _sample_points(interval, singular_points(e, interval)))
-    if not vs:
+    if not len(vs):
         return ConditionReport(name, INDETERMINATE, math.nan, None, skipped)
-    worst = min(vs)
-    verdict = HOLDS if worst >= -POINTWISE_TOL * max(1.0, max(map(abs, vs))) else VIOLATED
-    witness = xs[vs.index(worst)] if verdict == VIOLATED else None
+    i = int(np.argmin(vs))
+    worst = float(vs[i])
+    verdict = HOLDS if worst >= -POINTWISE_TOL * max(1.0, float(np.abs(vs).max())) else VIOLATED
+    witness = float(xs[i]) if verdict == VIOLATED else None
     return ConditionReport(name, verdict, worst, witness, skipped)
 
 
@@ -280,15 +273,15 @@ def check_admissibility(inst: HardyInstance) -> AdmissibilityReport:
 
 
 def _beta_gap_condition(inst: HardyInstance) -> ConditionReport:
-    pts = _sample_points(inst.domain, inst.split_points)
-    pts += [end for end in (inst.domain.lo, inst.domain.hi) if math.isfinite(end)]
+    ends = [end for end in (inst.domain.lo, inst.domain.hi) if math.isfinite(end)]
+    pts = np.concatenate([_sample_points(inst.domain, inst.split_points), ends])
     xs, vs, skipped = _sample(inst.sigma, pts)
-    sup = max(vs, default=math.nan)
-    if not math.isfinite(sup):
+    i = int(np.argmax(vs)) if len(vs) else None
+    if i is None or not math.isfinite(vs[i]):
         return ConditionReport("beta-margin", INDETERMINATE, math.nan, None, skipped)
-    margin = inst.beta - sup
+    margin = inst.beta - float(vs[i])
     verdict = HOLDS if margin >= BETA_MARGIN else VIOLATED
-    witness = xs[vs.index(sup)] if verdict == VIOLATED else None
+    witness = float(xs[i]) if verdict == VIOLATED else None
     return ConditionReport("beta-margin", verdict, margin, witness, skipped)
 
 
@@ -454,6 +447,15 @@ def preset(name: str, **params) -> HardyInstance:
 
 def preset_names() -> list[str]:
     return list(_PRESETS)
+
+
+def preset_parameters(name: str) -> list[str]:
+    """The parameters a preset takes by name; any other keyword argument is
+    bound as a named parameter inside its expressions."""
+    if name not in _PRESETS:
+        raise InvalidParamsError(f"unknown preset {name!r}")
+    params = inspect.signature(_PRESETS[name]).parameters.values()
+    return [p.name for p in params if p.kind is not inspect.Parameter.VAR_KEYWORD]
 
 
 def _parse_arg(value, params=None):

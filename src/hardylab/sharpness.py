@@ -129,6 +129,26 @@ def hardy_cutoff(eps: float, log10_inner: float, log10_outer: float) -> TestFunc
             return 0.0
         return q * x ** (q - 1.0) * z + x ** q * dz
 
+    # the same branches with np.where, for points inside the support
+    def zeta_grid(xs):
+        rising = _ramp((xs - 0.5 * inner) / (0.5 * inner))
+        falling = _ramp((2.0 * outer - xs) / outer)
+        return np.where(xs < inner, rising, np.where(xs <= outer, 1.0, falling))
+
+    def zeta_prime_grid(xs):
+        rising = _ramp_prime((xs - 0.5 * inner) / (0.5 * inner)) / (0.5 * inner)
+        falling = -_ramp_prime((2.0 * outer - xs) / outer) / outer
+        return np.where(xs < inner, rising, np.where(xs <= outer, 0.0, falling))
+
+    def f_grid(xs):
+        z = zeta_grid(xs)
+        return np.where(z == 0.0, 0.0, xs ** q * z)
+
+    def df_grid(xs):
+        z, dz = zeta_grid(xs), zeta_prime_grid(xs)
+        value = q * xs ** (q - 1.0) * z + xs ** q * dz
+        return np.where((z == 0.0) & (dz == 0.0), 0.0, value)
+
     return TestFunction(
         "hardy-cutoff",
         Interval(0.5 * inner, 2.0 * outer),
@@ -136,6 +156,8 @@ def hardy_cutoff(eps: float, log10_inner: float, log10_outer: float) -> TestFunc
         {"eps": eps, "log10_inner": log10_inner, "log10_outer": log10_outer},
         f,
         df,
+        f_grid,
+        df_grid,
         split_points=(inner, outer),
     )
 

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .errors import (
@@ -22,7 +23,8 @@ from .errors import (
     NoFiniteBracketError,
 )
 from .expr import (
-    SCAN_GRID, Expr, Interval, abs_, compile_fn, differentiate, golden_min, pow_, singular_points,
+    SCAN_GRID, Expr, Interval, abs_, compile_fn, differentiate, eval_grid, golden_min, pow_,
+    singular_points,
 )
 from .quadrature import (
     DEFAULT_TOL,
@@ -66,25 +68,27 @@ def validate_exponent(p: Expr, domain: Interval) -> VariableExponent:
     numerical caveat and may creep toward 1 at isolated interior points).
     """
     fn = compile_fn(p)
-    xs = domain.midpoint_grid(SCAN_GRID)
-    vals = []
-    for x in xs:
+    xs = domain.midpoint_array(SCAN_GRID)
+    vals = eval_grid(p, xs)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        # the first offending sample, evaluated again for the closure's message
+        x = float(xs[np.argmax(bad)])
         try:
-            v = fn(x)
+            fn(x)
         except EvalDomainError as err:
             raise ExponentRangeError(f"exponent not evaluable at x={x!r}: {err}") from err
-        if not math.isfinite(v):
-            raise ExponentRangeError(f"exponent non-finite at x={x!r}")
-        vals.append(v)
-    lo_val, hi_val = min(vals), max(vals)
+        raise ExponentRangeError(f"exponent non-finite at x={x!r}")
+    lo_idx, hi_idx = int(np.argmin(vals)), int(np.argmax(vals))
+    lo_val, hi_val = float(vals[lo_idx]), float(vals[hi_idx])
     if lo_val <= 1.0 + P_LOWER_MARGIN:
-        x_bad = xs[vals.index(lo_val)]
         raise ExponentRangeError(
-            f"sampled exponent {lo_val!r} at x={x_bad!r} is not above 1"
+            f"sampled exponent {lo_val!r} at x={float(xs[lo_idx])!r} is not above 1"
         )
     if hi_val > P_UPPER_CAP:
-        x_bad = xs[vals.index(hi_val)]
-        raise ExponentRangeError(f"sampled exponent {hi_val!r} at x={x_bad!r} looks unbounded")
+        raise ExponentRangeError(
+            f"sampled exponent {hi_val!r} at x={float(xs[hi_idx])!r} looks unbounded"
+        )
 
     if p.kind == "const":
         vp = VariableExponent(p, domain, p.value, p.value, numerical=False)
@@ -93,10 +97,9 @@ def validate_exponent(p: Expr, domain: Interval) -> VariableExponent:
 
     p_minus, p_plus = lo_val, hi_val
     window = domain.window()
-    for maximize in (False, True):
-        idx = vals.index(hi_val if maximize else lo_val)
-        cell_lo = xs[idx - 1] if idx > 0 else window.lo
-        cell_hi = xs[idx + 1] if idx + 1 < len(xs) else window.hi
+    for maximize, idx in ((False, lo_idx), (True, hi_idx)):
+        cell_lo = float(xs[idx - 1]) if idx > 0 else window.lo
+        cell_hi = float(xs[idx + 1]) if idx + 1 < len(xs) else window.hi
         if cell_lo < cell_hi:
             sign = -1.0 if maximize else 1.0
             _, best = golden_min(lambda x: sign * fn(x), cell_lo, cell_hi, 48)

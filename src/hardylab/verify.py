@@ -26,6 +26,7 @@ from .expr import (
     compile_fn,
     differentiate,
     div,
+    eval_grid,
     mul,
     pow_,
     singular_points,
@@ -57,7 +58,9 @@ class TestFunction:
 
     ``edge_exponent`` is the decay rate at the support boundary; it controls
     which inequalities the function is admissible for.  The function
-    evaluates to exactly 0 outside its support.
+    evaluates to exactly 0 outside its support.  ``_f`` and ``_df`` are the
+    scalar forms that integrands call; ``_f_grid`` and ``_df_grid`` take a
+    float array of points inside the support, for sampling grids.
     """
 
     kind: str
@@ -66,6 +69,8 @@ class TestFunction:
     params: dict
     _f: callable = field(repr=False)
     _df: callable = field(repr=False)
+    _f_grid: callable = field(repr=False)
+    _df_grid: callable = field(repr=False)
     split_points: tuple = ()
 
     def __call__(self, x: float) -> float:
@@ -78,15 +83,29 @@ class TestFunction:
             return 0.0
         return self._df(x)
 
+    def grid(self, xs: np.ndarray) -> np.ndarray:
+        """The function at every point of ``xs``, as one array."""
+        return self._on_support(self._f_grid, xs)
+
+    def derivative_grid(self, xs: np.ndarray) -> np.ndarray:
+        return self._on_support(self._df_grid, xs)
+
+    def _on_support(self, form, xs):
+        out = np.zeros(len(xs))
+        inside = (self.support.lo < xs) & (xs < self.support.hi)
+        out[inside] = form(xs[inside])
+        return out
+
     def validate(self):
         if not self.support.finite:
             raise InvalidTestFunctionError("support must be compact")
-        xs = self.support.midpoint_grid(TEST_GRID)
-        vals = [self(x) for x in xs]
-        if any(v < 0 for v in vals):
+        xs = self.support.midpoint_array(TEST_GRID)
+        vals = self.grid(xs)
+        if np.isnan(vals).any():
+            raise InvalidTestFunctionError(f"{self.kind} is undefined inside its support")
+        if (vals < 0).any():
             raise InvalidTestFunctionError(f"{self.kind} takes negative values")
-        slopes = [abs(self.derivative(x)) for x in xs]
-        if not all(map(math.isfinite, slopes)):
+        if not np.isfinite(self.derivative_grid(xs)).all():
             raise InvalidTestFunctionError(f"{self.kind} has unbounded slope")
         return self
 
@@ -105,10 +124,12 @@ def power_bump(center: float, halfwidth: float, height: float = 1.0, k: float = 
         s = (x - m) / r
         return c * k * (1.0 - s * s) ** (k - 1.0) * (-2.0 * s / r)
 
+    # f and df are written with operators that act on arrays as they do on
+    # floats, so they serve the grids too
     return TestFunction(
         "power-bump", Interval(m - r, m + r), k,
         {"center": m, "halfwidth": r, "height": c, "k": k},
-        f, df, split_points=(m,),
+        f, df, f, df, split_points=(m,),
     ).validate()
 
 
@@ -122,10 +143,13 @@ def tent(center: float, halfwidth: float, height: float = 1.0) -> TestFunction:
     def df(x):
         return -c / r if x > m else (c / r if x < m else 0.0)
 
+    def df_grid(xs):
+        return np.where(xs > m, -c / r, np.where(xs < m, c / r, 0.0))
+
     return TestFunction(
         "tent", Interval(m - r, m + r), 1.0,
         {"center": m, "halfwidth": r, "height": c},
-        f, df, split_points=(m,),
+        f, df, f, df_grid, split_points=(m,),
     ).validate()
 
 
@@ -157,15 +181,17 @@ def spline_bump(support: Interval, knot_values) -> TestFunction:
 
     Squaring keeps the function nonnegative and C^1 with edge exponent 4
     (value and slope both vanish at the support boundary).  SciPy builds the
-    coefficients; evaluation is scalar.
+    coefficients and evaluates the grids; the scalar evaluation gives the
+    same values.
     """
     values = np.asarray(knot_values, dtype=float)
     n = len(values)
     xs = np.linspace(support.lo, support.hi, n + 2)
     ys = np.concatenate([[0.0], values, [0.0]])
     spline = CubicSpline(xs, ys, bc_type="clamped")
+    derivative = spline.derivative()
     s = _ppoly_fn(spline)
-    ds = _ppoly_fn(spline.derivative())
+    ds = _ppoly_fn(derivative)
 
     def f(x):
         v = s(x)
@@ -174,20 +200,27 @@ def spline_bump(support: Interval, knot_values) -> TestFunction:
     def df(x):
         return 2.0 * s(x) * ds(x)
 
+    def f_grid(xs):
+        v = spline(xs)
+        return v * v
+
+    def df_grid(xs):
+        return 2.0 * spline(xs) * derivative(xs)
+
     return TestFunction(
         "spline-bump", support, 4.0,
         {"support": [support.lo, support.hi], "knot_values": values.tolist()},
-        f, df, split_points=tuple(float(x) for x in xs[1:-1]),
+        f, df, f_grid, df_grid, split_points=tuple(float(x) for x in xs[1:-1]),
     ).validate()
 
 
 def from_expr(e: Expr, support: Interval, edge_exponent: float) -> TestFunction:
-    fn = compile_fn(e)
-    dfn = compile_fn(differentiate(e))
+    de = differentiate(e)
     return TestFunction(
         "custom", support, float(edge_exponent),
         {"expr": to_string(e)},
-        fn, dfn, split_points=tuple(singular_points(e, support)),
+        compile_fn(e), compile_fn(de), partial(eval_grid, e), partial(eval_grid, de),
+        split_points=tuple(singular_points(e, support)),
     ).validate()
 
 
@@ -199,6 +232,11 @@ class VerificationReport:
     margin: float
     verdict: str
     retried: bool = False
+    # integrand calls behind the report, a retried case's first pass included
+    evaluations: int = field(init=False)
+
+    def __post_init__(self):
+        self.evaluations = self.lhs.evaluations + self.rhs_main.evaluations + self.rhs_log.evaluations
 
     @property
     def combined_error(self) -> float:
@@ -268,21 +306,23 @@ def _tlogt_view(tf: TestFunction) -> Integrand:
 
     # t log t vanishes again at t = 1; |g|^p has a kink wherever tf crosses
     # 1, so those crossings become quadrature splits
-    xs = tf.support.midpoint_grid(TEST_GRID)
-    crossings, _ = _fn_zeros(lambda x: tf(x) - 1.0, xs)
+    xs = tf.support.midpoint_array(TEST_GRID)
+    crossings, _ = _fn_zeros(lambda x: tf(x) - 1.0, xs, tf.grid(xs) - 1.0)
     return Integrand(g, tf.support, tuple(sorted(set(tf.split_points) | set(crossings))))
 
 
 def _with_retry(run, tol: float) -> VerificationReport:
     """One pass of ``run(tol, tol_abs)``; an indeterminate verdict is rerun
     once at a hundredfold tighter tolerance, with the absolute floor scaled
-    to the problem's magnitude."""
-    rep = run(tol, DEFAULT_TOL_ABS)
-    if rep.verdict != INDETERMINATE:
-        return rep
-    scale = max(abs(rep.lhs.value), abs(rep.rhs_main.value), abs(rep.rhs_log.value), 1e-300)
+    to the problem's magnitude.  The rerun's report counts the evaluations
+    of both passes."""
+    first = run(tol, DEFAULT_TOL_ABS)
+    if first.verdict != INDETERMINATE:
+        return first
+    scale = max(abs(first.lhs.value), abs(first.rhs_main.value), abs(first.rhs_log.value), 1e-300)
     rep = run(tol / 100.0, max(scale * tol * 1e-4, 1e-300))
     rep.retried = True
+    rep.evaluations += first.evaluations
     return rep
 
 
@@ -486,7 +526,7 @@ def batch_verify(
     for index, (tf, rep) in enumerate(zip(tfs, reports)):
         counts[rep.verdict] += 1
         worst = min(worst, rep.margin)
-        evaluations += rep.lhs.evaluations + rep.rhs_main.evaluations + rep.rhs_log.evaluations
+        evaluations += rep.evaluations
         record = {
             "index": index,
             "kind": tf.kind,

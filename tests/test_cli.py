@@ -48,6 +48,27 @@ def test_check_violated_condition_reports_witness(tmp_path, capsys):
     assert "at x=" in out
 
 
+@pytest.mark.parametrize("body, key", [
+    ("preset = cor51\nM = 1\nbta = 3\n", "bta"),
+    ("preset = cor55\np = 1+d/(abs(x)+1)\nsigma = 1\nd = 1\ne = 2\n", "e"),
+    ("preset = raw\ndomain = 0, 1\np = 2\nu = x\nsigma = 0\nbeta = 1\nalpha = 2\n", "alpha"),
+])
+def test_check_rejects_instance_key_nothing_reads(tmp_path, capsys, body, key):
+    # a key is a parameter of the preset or a name an expression reads
+    cfg = _write_config(tmp_path, f"[instance]\n{body}[output]\ndir = {tmp_path / 'out'}\n")
+    assert main(["check", "--config", cfg]) == EXIT_USAGE
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_check_accepts_instance_key_an_expression_reads(tmp_path):
+    cfg = _write_config(
+        tmp_path,
+        "[instance]\npreset = raw\ndomain = 0, 1\np = 2\nu = k*x\nsigma = 0\nbeta = 1\nk = 2\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n",
+    )
+    assert main(["check", "--config", cfg]) == EXIT_OK
+
+
 def test_check_malformed_expression(tmp_path):
     cfg = _write_config(
         tmp_path,

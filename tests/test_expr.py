@@ -13,6 +13,7 @@ from hardylab.expr import (
     singular_points,
     singular_scan,
     to_string,
+    zero_scan,
 )
 
 
@@ -201,6 +202,14 @@ def test_singular_scan_suspected_grazing_zero():
     scan = singular_scan(parse("1/((x-0.3)^2)"), Interval(-1, 1))
     assert all(abs(p - 0.3) > 1e-6 for p in scan.points)
     assert any(abs(p - 0.3) < 1e-6 for p in scan.suspected)
+
+
+def test_zero_scan_brackets_a_crossing_of_tiny_values():
+    # the grid values are about 1e-200, so their product underflows to -0.0:
+    # the crossing is still a sign change, bracketed and refined
+    scan = zero_scan(parse("1e-200*(x-0.3)"), Interval(0, 1))
+    assert scan.points == [pytest.approx(0.3, abs=1e-14)]
+    assert scan.suspected == []
 
 
 def test_compile_fn_matches_evaluate():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
-from hardylab import sharpness, verify
+from hardylab import quadrature, sharpness, verify
 from hardylab.errors import InadmissibleInstanceError, InvalidTestFunctionError
 from hardylab.expr import Interval, parse
 from hardylab.instance import build_measures, make_instance, preset
@@ -294,6 +294,25 @@ def test_indeterminate_first_pass_is_retried_once(distance_instance, monkeypatch
     assert fake.passes() == [(1e-8, DEFAULT_TOL_ABS), (1e-8 / 100.0, 3.0 * 1e-8 * 1e-4)]
     assert rep.verdict == "pass"
     assert rep.retried is True
+
+
+def test_retried_case_counts_the_evaluations_of_both_passes(distance_instance, monkeypatch):
+    calls = []
+    real_call = quadrature._call
+    monkeypatch.setattr(quadrature, "_call", lambda f, x: calls.append(x) or real_call(f, x))
+    verdicts = []
+    real_verdict = verify._verdict
+
+    def first_pass_indeterminate(*results):
+        # odd calls are first passes: each is forced to a retry
+        margin, verdict = real_verdict(*results)
+        verdicts.append(verdict)
+        return (margin, verify.INDETERMINATE) if len(verdicts) % 2 else (margin, verdict)
+
+    monkeypatch.setattr(verify, "_verdict", first_pass_indeterminate)
+    summary = batch_verify(distance_instance, "power_bump", count=3, seed=4, which="hardy")
+    assert len(verdicts) == 6 and summary.counts["pass"] == 3
+    assert summary.evaluations == len(calls)
 
 
 def test_sharpness_ratio_makes_one_pass(distance_instance, monkeypatch):
