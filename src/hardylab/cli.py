@@ -69,8 +69,6 @@ DEFAULTS = {
     "scan": {
         "family": "hardy_cutoff",
         "budget": "500",
-        "restarts": "3",
-        "seed": "11",
         "tol": "1e-6",
     },
     "output": {"dir": "hardylab-out"},
@@ -81,8 +79,6 @@ _INTEGER_KEYS = (
     ("verification", "count", 0),
     ("verification", "seed", 0),
     ("scan", "budget", 1),
-    ("scan", "restarts", 1),
-    ("scan", "seed", 0),
 )
 
 _EXPR_KEYS = {"p", "u", "phi", "sigma", "A"}
@@ -422,12 +418,7 @@ def cmd_verify(cfg: dict, inst: HardyInstance, label: str = "verify") -> int:
 
 def cmd_scan(cfg: dict, inst: HardyInstance, label: str = "scan") -> int:
     s = cfg["scan"]
-    spec = FamilySpec(
-        kind=s["family"],
-        box=_scan_box(s),
-        restarts=int(s["restarts"]),
-        seed=int(s["seed"]),
-    )
+    spec = FamilySpec(kind=s["family"], box=_scan_box(s))
     try:
         result = scan(inst, spec, budget=int(s["budget"]), tol=float(s["tol"]))
     except VacuousInstanceError as err:
@@ -446,16 +437,15 @@ def cmd_scan(cfg: dict, inst: HardyInstance, label: str = "scan") -> int:
         "converged": result.converged,
         "family": spec.kind,
         "box": {k: list(v) for k, v in spec.box.items()},
-        "seed": spec.seed,
     }
     record = make_record("scan", inst.describe(), payload, cfg)
     _write_atomic(_out_dir(cfg) / f"{label}.json", emit_json(record))
     best = result.best_so_far()
     rows = [
-        [entry.restart, entry.index, *[entry.params[n] for n in names], entry.ratio, best[i]]
+        [i, *[entry.params[n] for n in names], entry.ratio, best[i]]
         for i, entry in enumerate(result.trace)
     ]
-    header = ["restart", "eval", *names, "ratio", "best_so_far"]
+    header = ["eval", *names, "ratio", "best_so_far"]
     _write_atomic(_out_dir(cfg) / f"{label}-trace.csv", emit_csv(rows, header))
     max_ratio = s.get("max_ratio")
     if max_ratio is not None and result.best_ratio > float(max_ratio):
@@ -515,7 +505,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="INI config file")
-    common.add_argument("--seed", type=int, default=None, help="override RNG seed")
+    common.add_argument("--seed", type=int, default=None, help="override the verification seed")
     common.add_argument("--tol", type=float, default=None, help="override the verification tolerance")
     common.add_argument("--out", default=None, help="output directory")
     sub.add_parser("check", parents=[common])
@@ -532,7 +522,6 @@ def _overrides(args) -> dict:
     tol = repr(args.tol) if args.tol is not None else None
     return {
         "verification": {"seed": seed, "tol": tol},
-        "scan": {"seed": seed},
         "output": {"dir": args.out},
     }
 

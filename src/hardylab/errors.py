@@ -19,7 +19,7 @@ class UnknownIdentifierError(ParseError):
 
 class EvalDomainError(HardyLabError):
     """Evaluation left the real domain (log of a nonpositive value, division
-    by zero, negative base with fractional exponent)."""
+    by zero, negative base to a power that is not a finite integer)."""
 
     def __init__(self, message, x=None):
         if x is not None:

@@ -184,8 +184,8 @@ def max_(a, b) -> Expr:
 def _pow(base: float, expo: float, x) -> float:
     if base == 0.0 and expo < 0.0:
         raise EvalDomainError("0 raised to a negative power", x)
-    if base < 0.0 and expo != math.floor(expo):
-        raise EvalDomainError(f"negative base {base!r} with fractional exponent", x)
+    if base < 0.0 and (not math.isfinite(expo) or expo != math.floor(expo)):
+        raise EvalDomainError(f"negative base {base!r} to the power {expo!r}, not a finite integer", x)
     try:
         return math.pow(base, expo)
     except OverflowError:
@@ -319,7 +319,7 @@ def _grid(e: Expr, xs, bad):
         bad |= b == 0.0
         return a / b
     if kind == "^":
-        bad |= ((a == 0.0) & (b < 0.0)) | ((a < 0.0) & (b != np.floor(b)))
+        bad |= ((a == 0.0) & (b < 0.0)) | ((a < 0.0) & ((b != np.floor(b)) | np.isinf(b)))
         return np.power(a, b)
     if kind == "min":
         return np.where(b < a, b, a)  # Python's min(a, b), NaN included

@@ -1,21 +1,22 @@
 """Empirical sharpness probing: minimize RHS/LHS over test-function families.
 
-The scan drives a multi-start Nelder-Mead search (derivative-free; quadrature
-noise makes finite-difference gradients unreliable) over a parameter box.
-Every objective evaluation is recorded in a trace, the first start is a
-deterministic anchor, and the remaining starts are seeded draws, so a scan
-is reproducible from (seed, budget) alone.
+The scan drives one bounded Nelder-Mead search (derivative-free; quadrature
+noise makes finite-difference gradients unreliable) over a parameter box,
+started from the family's preferred corner.  Every objective evaluation is
+recorded in a trace, and nothing is random, so a scan is reproducible from
+its box and budget alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import InvalidParamsError, VacuousInstanceError
+from .errors import InvalidParamsError, InvalidTestFunctionError, VacuousInstanceError
 from .expr import Interval
 from .instance import HardyInstance, build_measures
 from .quadrature import DEFAULT_TOL_ABS
@@ -27,14 +28,12 @@ class FamilySpec:
     """Parameter box for one scan family.
 
     ``box`` maps parameter names to (lo, hi) bounds in a fixed order;
-    ``fixed`` pins any family parameter that is not scanned.  The first
-    start is the family's preferred corner of the box.
+    ``fixed`` pins any family parameter that is not scanned.  The search
+    starts at the family's preferred point of the box.
     """
 
     kind: str = "hardy_cutoff"
     box: dict = field(default_factory=dict)
-    restarts: int = 3
-    seed: int = 0
     fixed: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -43,8 +42,6 @@ class FamilySpec:
         for name, (lo, hi) in self.box.items():
             if not lo < hi:
                 raise InvalidParamsError(f"empty box for parameter {name!r}")
-        if self.restarts < 1:
-            raise InvalidParamsError("need at least one restart")
 
 
 def default_box(kind: str) -> dict:
@@ -191,8 +188,6 @@ def ratio(inst: HardyInstance, xi: TestFunction, tol: float = 1e-6) -> float:
 
 @dataclass
 class TraceEntry:
-    restart: int
-    index: int
     params: dict
     ratio: float
 
@@ -218,6 +213,23 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _require_box_inside(inst: HardyInstance, spec: FamilySpec):
+    """Reject a box that lets the test function's support leave the domain.
+    Each end of the support is monotone in every parameter of both families,
+    so the widest supports sit at the corners of the box."""
+    names = list(spec.box)
+    for corner in itertools.product(*spec.box.values()):
+        point = dict(zip(names, corner))
+        support = build_family_member(inst, spec.kind, {**spec.fixed, **point}).support
+        if not (inst.domain.lo < support.lo and support.hi < inst.domain.hi):
+            where = ", ".join(f"{n}={v:g}" for n, v in point.items())
+            raise InvalidTestFunctionError(
+                f"scan box corner {where} gives support ({support.lo:g}, {support.hi:g}); "
+                f"test function support must lie strictly inside the domain "
+                f"({inst.domain.lo:g}, {inst.domain.hi:g})"
+            )
+
+
 def scan(
     inst: HardyInstance,
     spec: FamilySpec,
@@ -226,58 +238,42 @@ def scan(
 ) -> ScanResult:
     """Minimize the sharpness ratio over the family's parameter box.
 
-    Runs one deterministic anchor start plus seeded random restarts of
-    bounded Nelder-Mead; stops when the evaluation budget is exhausted and
-    reports best-so-far with ``converged=False`` in that case.
+    Runs one bounded Nelder-Mead search from the family's anchor point; stops
+    when the evaluation budget is exhausted and reports best-so-far with
+    ``converged=False`` in that case.  A box whose corners reach outside the
+    domain is rejected before the first evaluation.
     """
     if budget < 1:
         raise InvalidParamsError("budget must be at least 1")
+    _require_box_inside(inst, spec)
     names = list(spec.box.keys())
     lows = np.array([spec.box[n][0] for n in names])
     highs = np.array([spec.box[n][1] for n in names])
     trace: list[TraceEntry] = []
-    state = {"evals": 0, "restart": 0}
 
     def objective(vec):
-        if state["evals"] >= budget:
+        if len(trace) >= budget:
             raise _BudgetExhausted
         point = {n: float(v) for n, v in zip(names, np.clip(vec, lows, highs))}
         params = {**spec.fixed, **point}
         xi = build_family_member(inst, spec.kind, params)
         value = ratio(inst, xi, tol)
-        trace.append(TraceEntry(state["restart"], state["evals"], point, value))
-        state["evals"] += 1
+        trace.append(TraceEntry(point, value))
         return value
 
     anchor = _default_anchor(spec.kind, spec.box)
-    rng = np.random.default_rng(spec.seed)
-    starts = [np.array([anchor[n] for n in names], dtype=float)]
-    for _ in range(spec.restarts - 1):
-        starts.append(rng.uniform(lows, highs))
+    try:
+        res = minimize(
+            objective,
+            np.array([anchor[n] for n in names], dtype=float),
+            method="Nelder-Mead",
+            bounds=list(zip(lows, highs)),
+            options={"maxfev": budget, "xatol": 1e-3, "fatol": 1e-5, "disp": False},
+        )
+        converged = bool(res.success)
+    except _BudgetExhausted:
+        converged = False
 
-    per_restart = max(budget // spec.restarts, 1)
-    converged = True
-    for restart, x0 in enumerate(starts):
-        state["restart"] = restart
-        try:
-            res = minimize(
-                objective,
-                x0,
-                method="Nelder-Mead",
-                bounds=list(zip(lows, highs)),
-                options={
-                    "maxfev": per_restart,
-                    "xatol": 1e-3,
-                    "fatol": 1e-5,
-                    "disp": False,
-                },
-            )
-            converged = converged and bool(res.success)
-        except _BudgetExhausted:
-            converged = False
-            break
-
-    if not trace:
-        raise InvalidParamsError("budget spent before any evaluation finished")
+    # minimize evaluates the anchor first, so the trace is never empty
     best = min(trace, key=lambda e: e.ratio)
     return ScanResult(best.ratio, dict(best.params), trace, len(trace), converged)

@@ -17,7 +17,12 @@ from functools import partial
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import InadmissibleInstanceError, InvalidParamsError, InvalidTestFunctionError
+from .errors import (
+    EvalDomainError,
+    InadmissibleInstanceError,
+    InvalidParamsError,
+    InvalidTestFunctionError,
+)
 from .expr import (
     Expr,
     Interval,
@@ -499,7 +504,8 @@ def batch_verify(
     Refuses to run unless every condition of the instance's admissibility
     report, the one ``hardylab check`` prints, holds; the verdict counts,
     the worst margin, and replayable witnesses for every non-pass case are
-    collected."""
+    collected.  A case whose integrands leave the real domain is
+    indeterminate with a NaN margin, and its witness carries the error."""
     if which not in BATCH_KINDS:
         raise InvalidParamsError(f"which must be one of {BATCH_KINDS}, got {which!r}")
     if family not in FAMILIES:
@@ -516,25 +522,23 @@ def batch_verify(
         family = "power_bump"
     tfs = [random_test_function(inst, rng, family) for _ in range(count)]
     runner = verify_caccioppoli if which == "caccioppoli" else verify_hardy
-    reports = [runner(inst, tf, tol) for tf in tfs]
 
     counts = {PASS: 0, FAIL: 0, INDETERMINATE: 0}
     witnesses = []
     cases = []
-    worst = math.inf
     evaluations = 0
-    for index, (tf, rep) in enumerate(zip(tfs, reports)):
-        counts[rep.verdict] += 1
-        worst = min(worst, rep.margin)
-        evaluations += rep.evaluations
-        record = {
-            "index": index,
-            "kind": tf.kind,
-            "params": tf.params,
-            "verdict": rep.verdict,
-            "margin": rep.margin,
-        }
+    for index, tf in enumerate(tfs):
+        record = {"index": index, "kind": tf.kind, "params": tf.params}
+        try:
+            rep = runner(inst, tf, tol)
+        except EvalDomainError as err:
+            record.update(verdict=INDETERMINATE, margin=math.nan, error=str(err), x=err.x)
+        else:
+            record.update(verdict=rep.verdict, margin=rep.margin)
+            evaluations += rep.evaluations
+        counts[record["verdict"]] += 1
         cases.append(record)
-        if rep.verdict != PASS:
+        if record["verdict"] != PASS:
             witnesses.append(record)
-    return BatchSummary(counts, worst if count else math.nan, witnesses, evaluations, cases)
+    margins = [case["margin"] for case in cases if not math.isnan(case["margin"])]
+    return BatchSummary(counts, min(margins, default=math.nan), witnesses, evaluations, cases)

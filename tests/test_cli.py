@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from hardylab import cli
+from hardylab import cli, sharpness
 from hardylab.cli import (
     EXIT_INDETERMINATE,
     EXIT_MATH,
@@ -248,6 +248,56 @@ def test_scan_rejects_support_outside_domain(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "support must lie strictly inside the domain" in captured.err
     assert "vacuous" not in captured.out
+
+
+@pytest.mark.parametrize("instance", ["preset = constp", "preset = cor51"])
+def test_scan_rejects_a_box_outside_the_domain_before_evaluating(tmp_path, capsys, monkeypatch, instance):
+    # the default power_bump box reaches below 0 (constp) and past 1 (cor51)
+    calls = []
+    real_ratio = sharpness.ratio
+    monkeypatch.setattr(sharpness, "ratio", lambda *a, **k: calls.append(a) or real_ratio(*a, **k))
+    cfg = _write_config(
+        tmp_path,
+        f"[instance]\n{instance}\n[scan]\nfamily = power_bump\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n",
+    )
+    assert main(["scan", "--config", cfg]) == EXIT_MATH
+    err = capsys.readouterr().err
+    assert "support must lie strictly inside the domain" in err
+    assert "center=" in err and "halfwidth=" in err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_scan_ignores_the_seed(tmp_path):
+    outputs = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        cfg = _write_config(tmp_path, f"[instance]\npreset = constp\n[output]\ndir = {out}\n")
+        assert main(["scan", "--config", cfg, "--seed", seed]) == EXIT_OK
+        payload = parse_json((out / "scan.json").read_bytes()).payload
+        outputs.append((payload, (out / "scan-trace.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_verify_domain_error_is_an_indeterminate_witness(tmp_path, capsys):
+    # check holds everywhere, but case 12 of seed 7 reaches x + 0.9 < 0
+    out = tmp_path / "out"
+    cfg = _write_config(
+        tmp_path,
+        "[instance]\npreset = cor51\nM = 1\np = 2\nsigma = 1 + 0.01*exp(log(x + 0.9))\n"
+        "beta = 2\n[verification]\nwhich = hardy\nfamily = power_bump\ncount = 13\n"
+        f"[output]\ndir = {out}\n",
+    )
+    assert main(["check", "--config", cfg]) == EXIT_OK
+    assert main(["verify", "--config", cfg]) == EXIT_OK  # 1 of 13 is under the 10% rule
+    assert "12 pass, 0 fail, 1 indeterminate" in capsys.readouterr().out
+    totals = parse_json((out / "verify.json").read_bytes()).payload["totals"]
+    assert totals == {"pass": 12, "fail": 0, "indeterminate": 1}
+    [witness] = parse_json((out / "verify-witnesses.json").read_bytes()).payload["witnesses"]
+    assert witness["index"] == 12 and math.isnan(witness["margin"])
+    assert witness["error"].startswith("log of nonpositive value")
+    assert -1.0 < witness["x"] < -0.9
 
 
 def test_check_rejects_unknown_verification_family(tmp_path):

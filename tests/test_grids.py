@@ -113,6 +113,8 @@ _ROUNDED = (
     "log(x)", "log(x - 1)",         # log of a nonpositive value
     "x ^ 2.5", "x ^ 3", "(-2) ^ x",  # negative base with a fractional exponent
     "x ^ (-1.5)",                   # 0 raised to a negative power
+    "(0-2) ^ exp(1000*x)",          # negative base to an infinite power
+    "(0-2) ^ (exp(1000*x) - exp(1000*x))",  # ... and to a NaN power
     "(x + 3) ^ x", "exp(-x^2) * log(abs(x))",
     "min(log(x), 1)", "max(2, x ^ 0.5)",
     "sgn(exp(1000*x) - exp(1000*x))",   # sgn(NaN) = 0, not an error

@@ -53,7 +53,7 @@ def test_cutoff_family_rejects_bad_params():
 
 
 def test_scan_budget_one(classical):
-    res = scan(classical, FamilySpec(seed=3), budget=1)
+    res = scan(classical, FamilySpec(), budget=1)
     assert res.evaluations == 1
     assert len(res.trace) == 1
     assert not res.converged
@@ -61,22 +61,21 @@ def test_scan_budget_one(classical):
 
 
 def test_scan_determinism(classical):
-    spec = FamilySpec(seed=5, restarts=2)
-    a = scan(classical, spec, budget=40)
-    b = scan(classical, FamilySpec(seed=5, restarts=2), budget=40)
+    a = scan(classical, FamilySpec(), budget=40)
+    b = scan(classical, FamilySpec(), budget=40)
     assert a.best_ratio == b.best_ratio
     assert [(e.params, e.ratio) for e in a.trace] == [(e.params, e.ratio) for e in b.trace]
 
 
 def test_scan_best_so_far_monotone(classical):
-    res = scan(classical, FamilySpec(seed=5, restarts=2), budget=40)
+    res = scan(classical, FamilySpec(), budget=40)
     best = res.best_so_far()
     assert all(b1 >= b2 for b1, b2 in zip(best, best[1:]))
     assert best[-1] == res.best_ratio
 
 
 def test_scan_never_undercuts_one(classical):
-    res = scan(classical, FamilySpec(seed=5, restarts=2), budget=60)
+    res = scan(classical, FamilySpec(), budget=60)
     assert res.best_ratio >= 1.0 - 2e-6
 
 
@@ -87,8 +86,6 @@ def test_scan_flat_family_terminates_early(classical):
         kind="power_bump",
         box={"height": (0.5, 2.0)},
         fixed={"center": 1.0, "halfwidth": 0.8},
-        restarts=1,
-        seed=0,
     )
     res = scan(classical, spec, budget=200)
     ratios = [e.ratio for e in res.trace]
@@ -103,8 +100,6 @@ def test_scan_power_bump_family_on_interval_instance():
         kind="power_bump",
         box={"center": (-0.3, 0.3), "halfwidth": (0.1, 0.5)},
         fixed={"height": 1.0},
-        restarts=2,
-        seed=1,
     )
     res = scan(inst, spec, budget=50)
     assert res.best_ratio >= 1.0 - 2e-6

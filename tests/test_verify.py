@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from hardylab import quadrature, sharpness, verify
-from hardylab.errors import InadmissibleInstanceError, InvalidTestFunctionError
+from hardylab.errors import EvalDomainError, InadmissibleInstanceError, InvalidTestFunctionError
 from hardylab.expr import Interval, parse
 from hardylab.instance import build_measures, make_instance, preset
 from hardylab.quadrature import (
@@ -264,6 +264,29 @@ def test_batch_deterministic(distance_instance):
     assert a.counts == b.counts
     assert a.worst_margin == b.worst_margin
     assert [r["params"] for r in a.cases] == [r["params"] for r in b.cases]
+
+
+def test_batch_domain_error_is_one_indeterminate_case(distance_instance, monkeypatch):
+    real = verify.verify_hardy
+    calls = []
+
+    def second_case_leaves_the_domain(inst, tf, tol):
+        calls.append(tf)
+        if len(calls) == 2:
+            raise EvalDomainError("log of nonpositive value -0.5", 0.25)
+        return real(inst, tf, tol)
+
+    monkeypatch.setattr(verify, "verify_hardy", second_case_leaves_the_domain)
+    summary = batch_verify(distance_instance, "power_bump", 3, 4, "hardy")
+    assert len(calls) == 3  # the batch goes on after the error
+    assert summary.counts == {"pass": 2, "fail": 0, "indeterminate": 1}
+    assert [w["index"] for w in summary.witnesses] == [1]
+    witness = summary.witnesses[0]
+    assert witness["verdict"] == "indeterminate" and math.isnan(witness["margin"])
+    assert witness["error"] == "log of nonpositive value -0.5 at x=0.25"
+    assert witness["x"] == 0.25
+    margins = [case["margin"] for case in summary.cases]
+    assert summary.worst_margin == min(margins[0], margins[2])
 
 
 class _Passes:
