@@ -352,6 +352,8 @@ def cmd_check(cfg: dict, inst: HardyInstance, label: str = "check") -> int:
         if cond.witness is not None:
             line += f" at x={cond.witness:.9g}"
         line += ")"
+        if cond.skipped:
+            line += f", skipped {cond.skipped} of {cond.points} grid points"
         print(line)
         payload["conditions"].append(
             {
@@ -359,6 +361,7 @@ def cmd_check(cfg: dict, inst: HardyInstance, label: str = "check") -> int:
                 "verdict": cond.verdict,
                 "worst_margin": cond.worst_margin,
                 "witness": cond.witness,
+                "skipped": cond.skipped,
             }
         )
     record = make_record("check", inst.describe(), payload, cfg)

@@ -14,6 +14,8 @@ reported by :func:`singular_points` so quadrature can split there.
 from __future__ import annotations
 
 import math
+import struct
+import textwrap
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -196,75 +198,95 @@ def _pow(base: float, expo: float, x) -> float:
 
 
 def compile_fn(e: Expr) -> Callable[[float], float]:
-    """Compile ``e`` into a plain ``float -> float`` closure.
+    """Compile ``e`` into one straight-line ``float -> float`` function.
 
-    Compilation is cached per tree, so repeated evaluation (quadrature,
-    grid scans) pays the tree walk only once.
+    The generated code assigns one local per distinct subtree, so a subtree
+    that differentiation repeats is computed once per point.  It makes the
+    same ``math`` calls in the same order as evaluating the tree node by
+    node, so its values are bit-identical to that and its first domain
+    error is the same one: a quotient evaluates its denominator before its
+    numerator, every other node its left argument first.  Compilation is
+    cached per tree, so repeated evaluation (quadrature, refinement) pays
+    the code generation only once.
     """
     return _compile_cached(e)
 
 
+# One statement template per node kind: ``v`` names the node's value, ``a``
+# and ``b`` its arguments'.  The inline ``pow`` for a positive base is what
+# ``_pow`` does there.
+_STATEMENTS = {
+    "neg": "{v} = -{a}",
+    "abs": "{v} = abs({a})",
+    "sgn": "{v} = 1.0 if {a} > 0.0 else -1.0 if {a} < 0.0 else 0.0",
+    "exp": "try:\n    {v} = exp({a})\nexcept OverflowError:\n    {v} = inf",
+    "log": (
+        "if {a} <= 0.0:\n"
+        "    raise EvalDomainError(f'log of nonpositive value {{{a}!r}}', x)\n"
+        "{v} = log({a})"
+    ),
+    "+": "{v} = {a} + {b}",
+    "-": "{v} = {a} - {b}",
+    "*": "{v} = {a} * {b}",
+    "/": "{v} = {a} / {b}",
+    "^": (
+        "if {a} > 0.0:\n"
+        "    try:\n        {v} = pow({a}, {b})\n    except OverflowError:\n        {v} = inf\n"
+        "else:\n    {v} = _pow({a}, {b}, x)"
+    ),
+    "min": "{v} = {b} if {b} < {a} else {a}",  # Python's min(a, b), NaN included
+    "max": "{v} = {b} if {b} > {a} else {a}",
+}
+# placed after the denominator and before the numerator is evaluated
+_DIVISION_GUARD = "if {b} == 0.0:\n    raise EvalDomainError('division by zero', x)"
+
+
 @lru_cache(maxsize=4096)
 def _compile_cached(e: Expr) -> Callable[[float], float]:
-    kind = e.kind
-    if kind == "const":
-        v = e.value
-        return lambda x: v
-    if kind == "x":
-        return lambda x: x
-    if kind == "neg":
-        f = _compile_cached(e.args[0])
-        return lambda x: -f(x)
-    if kind in ("exp", "log", "abs", "sgn"):
-        f = _compile_cached(e.args[0])
-        if kind == "exp":
-            def _exp(x):
-                try:
-                    return math.exp(f(x))
-                except OverflowError:
-                    return math.inf
-            return _exp
-        if kind == "log":
-            def _log(x):
-                v = f(x)
-                if v <= 0.0:
-                    raise EvalDomainError(f"log of nonpositive value {v!r}", x)
-                return math.log(v)
-            return _log
-        if kind == "abs":
-            return lambda x: abs(f(x))
+    # Constants are bound by name in the generated function's globals, never
+    # written into its source, so inf, nan and -0.0 keep their bits and no
+    # text from a config reaches the code.
+    env = {
+        "exp": math.exp, "log": math.log, "pow": math.pow, "inf": math.inf,
+        "_pow": _pow, "EvalDomainError": EvalDomainError,
+    }
+    lines: list[str] = []
+    names: dict = {}  # (kind, argument names) or a constant's bits -> name
 
-        def _sgn(x):
-            v = f(x)
-            if v > 0.0:
-                return 1.0
-            if v < 0.0:
-                return -1.0
-            return 0.0
-        return _sgn
+    def emit(node: Expr) -> str:
+        # the statements for ``node``, unless an equal subtree has emitted
+        # them, in the order node-by-node evaluation runs them; returns the
+        # name that holds its value
+        kind = node.kind
+        if kind == "x":
+            return "x"
+        if kind == "const":
+            key = struct.pack("<d", node.value)  # 0.0 and -0.0 stay apart
+            if key not in names:
+                names[key] = f"c{len(names)}"
+                env[names[key]] = node.value
+            return names[key]
+        if kind not in _STATEMENTS:
+            raise ValueError(f"unknown node kind {kind!r}")
+        if kind == "/":
+            b = emit(node.args[1])
+            guard_at = len(lines)
+            a = emit(node.args[0])
+        else:
+            a = emit(node.args[0])
+            b = emit(node.args[1]) if len(node.args) > 1 else a
+        key = (kind, a, b)
+        if key not in names:
+            v = names[key] = f"v{len(names)}"
+            if kind == "/":
+                lines.insert(guard_at, _DIVISION_GUARD.format(b=b))
+            lines.append(_STATEMENTS[kind].format(v=v, a=a, b=b))
+        return names[key]
 
-    a = _compile_cached(e.args[0])
-    b = _compile_cached(e.args[1])
-    if kind == "+":
-        return lambda x: a(x) + b(x)
-    if kind == "-":
-        return lambda x: a(x) - b(x)
-    if kind == "*":
-        return lambda x: a(x) * b(x)
-    if kind == "/":
-        def _div(x):
-            den = b(x)
-            if den == 0.0:
-                raise EvalDomainError("division by zero", x)
-            return a(x) / den
-        return _div
-    if kind == "^":
-        return lambda x: _pow(a(x), b(x), x)
-    if kind == "min":
-        return lambda x: min(a(x), b(x))
-    if kind == "max":
-        return lambda x: max(a(x), b(x))
-    raise ValueError(f"unknown node kind {kind!r}")
+    result = emit(e)
+    body = "\n".join([*lines, f"return {result}"])
+    exec(compile("def fn(x):\n" + textwrap.indent(body, "    "), "<hardylab.expr>", "exec"), env)
+    return env["fn"]
 
 
 def evaluate(e: Expr, x: float) -> float:
@@ -274,10 +296,10 @@ def evaluate(e: Expr, x: float) -> float:
 
 def eval_grid(e: Expr, xs) -> np.ndarray:
     """``e`` at every point of ``xs`` as one float array, NaN wherever the
-    closure of :func:`compile_fn` raises EvalDomainError or returns NaN.
+    function of :func:`compile_fn` raises EvalDomainError or returns NaN.
 
-    Arithmetic, ``neg``, ``abs``, ``sgn``, ``min`` and ``max`` give the
-    closure's values bit for bit; ``exp``, ``log`` and ``^`` use NumPy's
+    Arithmetic, ``neg``, ``abs``, ``sgn``, ``min`` and ``max`` give its
+    values bit for bit; ``exp``, ``log`` and ``^`` use NumPy's
     routines, which may differ from ``math`` in the last bits.
     """
     xs = np.asarray(xs, dtype=float)
@@ -288,9 +310,9 @@ def eval_grid(e: Expr, xs) -> np.ndarray:
 
 
 def _grid(e: Expr, xs, bad):
-    # the closure evaluates every node, so a domain error at any node marks
-    # its points in ``bad``; a NaN that is not a domain error flows through
-    # sgn, min and max as it does in the closure
+    # the compiled function evaluates every node, so a domain error at any
+    # node marks its points in ``bad``; a NaN that is not a domain error
+    # flows through sgn, min and max as it does there
     kind = e.kind
     if kind == "const":
         return np.full(xs.shape, e.value)

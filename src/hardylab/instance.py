@@ -96,7 +96,8 @@ class ConditionReport:
     verdict: str
     worst_margin: float
     witness: float | None
-    skipped: int = 0
+    skipped: int      # grid points where the expression is undefined or NaN
+    points: int       # grid points sampled
 
     @property
     def holds(self) -> bool:
@@ -244,14 +245,15 @@ def check_nonneg(e: Expr, interval: Interval, name: str = "nonnegative") -> Cond
     """Grid verdict on ``e >= 0``, within ``POINTWISE_TOL`` relative to the
     largest sampled magnitude: sampled at ``ADMISSIBILITY_GRID`` points plus
     small offsets around the expression's singular points."""
-    xs, vs, skipped = _sample(e, _sample_points(interval, singular_points(e, interval)))
+    pts = _sample_points(interval, singular_points(e, interval))
+    xs, vs, skipped = _sample(e, pts)
     if not len(vs):
-        return ConditionReport(name, INDETERMINATE, math.nan, None, skipped)
+        return ConditionReport(name, INDETERMINATE, math.nan, None, skipped, len(pts))
     i = int(np.argmin(vs))
     worst = float(vs[i])
     verdict = HOLDS if worst >= -POINTWISE_TOL * max(1.0, float(np.abs(vs).max())) else VIOLATED
     witness = float(xs[i]) if verdict == VIOLATED else None
-    return ConditionReport(name, verdict, worst, witness, skipped)
+    return ConditionReport(name, verdict, worst, witness, skipped, len(pts))
 
 
 def check_admissibility(inst: HardyInstance) -> AdmissibilityReport:
@@ -278,11 +280,11 @@ def _beta_gap_condition(inst: HardyInstance) -> ConditionReport:
     xs, vs, skipped = _sample(inst.sigma, pts)
     i = int(np.argmax(vs)) if len(vs) else None
     if i is None or not math.isfinite(vs[i]):
-        return ConditionReport("beta-margin", INDETERMINATE, math.nan, None, skipped)
+        return ConditionReport("beta-margin", INDETERMINATE, math.nan, None, skipped, len(pts))
     margin = inst.beta - float(vs[i])
     verdict = HOLDS if margin >= BETA_MARGIN else VIOLATED
     witness = float(xs[i]) if verdict == VIOLATED else None
-    return ConditionReport("beta-margin", verdict, margin, witness, skipped)
+    return ConditionReport("beta-margin", verdict, margin, witness, skipped, len(pts))
 
 
 def weak_pdi_residual(inst: HardyInstance, w) -> float:

@@ -169,8 +169,11 @@ def test_reproduce_scenario_names_complete():
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_reproduce_scenarios_exit_zero(scenario, tmp_path):
+def test_reproduce_scenarios_exit_zero(scenario, tmp_path, capsys):
     assert main(["reproduce", scenario, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert "skipped" not in capsys.readouterr().out
+    record = parse_json((tmp_path / "out" / f"{scenario}-check.json").read_bytes())
+    assert {c["skipped"] for c in record.payload["conditions"]} == {0}
 
 
 def test_list_presets(capsys):
@@ -298,6 +301,30 @@ def test_verify_domain_error_is_an_indeterminate_witness(tmp_path, capsys):
     assert witness["index"] == 12 and math.isnan(witness["margin"])
     assert witness["error"].startswith("log of nonpositive value")
     assert -1.0 < witness["x"] < -0.9
+
+
+def test_check_reports_skipped_grid_points(tmp_path, capsys):
+    # sigma is undefined on (-1, -0.9]: 5% of the grid, under the one-fifth
+    # limit, so every condition holds, and the skipped points are shown
+    out = tmp_path / "out"
+    cfg = _write_config(
+        tmp_path,
+        "[instance]\npreset = cor51\nM = 1\np = 2\nsigma = 1 + 0.01*exp(log(x + 0.9))\n"
+        f"beta = 2\n[output]\ndir = {out}\n",
+    )
+    assert main(["check", "--config", cfg]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "condition u-nonnegative: holds-numerically (worst margin 0.0001)"
+    assert lines[1].endswith("(worst margin 1), skipped 501 of 10004 grid points")
+    assert lines[2].endswith("(worst margin 0.981), skipped 502 of 10006 grid points")
+    assert lines[3].endswith("(worst margin 1), skipped 501 of 10002 grid points")
+    conditions = parse_json((out / "check.json").read_bytes()).payload["conditions"]
+    assert {c["name"]: (c["verdict"], c["skipped"]) for c in conditions} == {
+        "u-nonnegative": ("holds-numerically", 0),
+        "pointwise": ("holds-numerically", 501),
+        "beta-margin": ("holds-numerically", 502),
+        "sigma-nonnegative": ("holds-numerically", 501),
+    }
 
 
 def test_check_rejects_unknown_verification_family(tmp_path):
