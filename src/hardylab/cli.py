@@ -1,7 +1,7 @@
 """Config-driven command line front end.
 
 Subcommands: ``check`` (admissibility conditions), ``verify`` (batch
-inequality verification), ``scan`` (sharpness search), ``reproduce`` (named
+inequality verification), ``scan`` (sharpness limit), ``reproduce`` (named
 scenario pipelines), ``list-presets``.  Exit codes are a stable contract:
 0 success, 1 mathematical failure, 2 usage or config error, 3 numerically
 indeterminate.
@@ -47,7 +47,7 @@ from .instance import (
     preset_parameters,
 )
 from .report import emit_csv, emit_json, make_record
-from .sharpness import FamilySpec, default_box, scan
+from .sharpness import scan
 from .verify import BATCH_KINDS, FAIL, FAMILIES, INDETERMINATE, PASS, batch_verify
 
 EXIT_OK = 0
@@ -66,20 +66,9 @@ DEFAULTS = {
         "which": "both",
         "tol": "1e-8",
     },
-    "scan": {
-        "family": "hardy_cutoff",
-        "budget": "500",
-        "tol": "1e-6",
-    },
+    "scan": {"tol": "1e-6"},
     "output": {"dir": "hardylab-out"},
 }
-
-# (section, key, least value) of the keys that must be integers
-_INTEGER_KEYS = (
-    ("verification", "count", 0),
-    ("verification", "seed", 0),
-    ("scan", "budget", 1),
-)
 
 _EXPR_KEYS = {"p", "u", "phi", "sigma", "A"}
 # the keys of ``preset = raw``
@@ -144,7 +133,7 @@ SCENARIOS = {
     "constp-hardy": {
         "instance": {"preset": "constp", "alpha": "0.5", "p": "2", "beta": "1"},
         "verification": {"count": "8", "which": "hardy"},
-        "scan": {"budget": "500", "max_ratio": "1.10"},
+        "scan": {"max_ratio": "1.10"},
     },
 }
 
@@ -186,9 +175,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
         cfg[section].update({k: v for k, v in values.items() if v is not None})
     for section in ("verification", "scan", "output"):
         for key in cfg[section]:
-            if key not in DEFAULTS[section] and not (
-                section == "scan" and (key.startswith("box_") or key == "max_ratio")
-            ):
+            if key not in DEFAULTS[section] and (section, key) != ("scan", "max_ratio"):
                 raise InvalidParamsError(f"unknown key {key!r} in [{section}]")
     for section, key in (("verification", "tol"), ("scan", "tol"), ("scan", "max_ratio")):
         if key not in cfg[section]:
@@ -203,40 +190,16 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
             raise InvalidParamsError(
                 f"[verification] {key} must be one of {allowed}, got {cfg['verification'][key]!r}"
             )
-    for section, key, least in _INTEGER_KEYS:
+    for key in ("count", "seed"):
         try:
-            ok = int(cfg[section][key]) >= least
+            ok = int(cfg["verification"][key]) >= 0
         except ValueError:
             ok = False
         if not ok:
             raise InvalidParamsError(
-                f"[{section}] {key} must be an integer >= {least}, got {cfg[section][key]!r}"
+                f"[verification] {key} must be an integer >= 0, got {cfg['verification'][key]!r}"
             )
-    _scan_box(cfg["scan"])
     return cfg
-
-
-def _scan_box(scan: dict) -> dict:
-    """The scan family's default box, with each ``box_<p>`` key replacing the
-    bounds of parameter ``<p>``; the box keeps the family's parameter order."""
-    box = default_box(scan["family"])
-    for key, text in scan.items():
-        if not key.startswith("box_"):
-            continue
-        name = key[len("box_"):]
-        if name not in box:
-            raise InvalidParamsError(
-                f"[scan] {key}: {scan['family']} has no parameter {name!r} (it has {list(box)})"
-            )
-        bounds = [_maybe_number(part) for part in text.split(",")]
-        if not (
-            len(bounds) == 2
-            and all(isinstance(b, float) and math.isfinite(b) for b in bounds)
-            and bounds[0] < bounds[1]
-        ):
-            raise InvalidParamsError(f"[scan] {key} must be 'lo, hi' with finite lo < hi, got {text!r}")
-        box[name] = tuple(bounds)
-    return box
 
 
 def build_instance(cfg: dict) -> HardyInstance:
@@ -421,38 +384,35 @@ def cmd_verify(cfg: dict, inst: HardyInstance, label: str = "verify") -> int:
 
 def cmd_scan(cfg: dict, inst: HardyInstance, label: str = "scan") -> int:
     s = cfg["scan"]
-    spec = FamilySpec(kind=s["family"], box=_scan_box(s))
     try:
-        result = scan(inst, spec, budget=int(s["budget"]), tol=float(s["tol"]))
+        result = scan(inst, tol=float(s["tol"]))
     except VacuousInstanceError as err:
         print(f"scan: vacuous instance: {err}")
         return EXIT_MATH
-    names = list(spec.box.keys())
-    print(
-        f"scan: best ratio {result.best_ratio:.6g} after {result.evaluations} "
-        f"evaluations (converged={result.converged})"
-    )
-    print(f"scan: best params {result.best_params}")
+    print(f"scan: best ratio {result.best_ratio:.6g} after {len(result.trace)} evaluations")
+    print(f"scan: limit {result.limit:.9g} +- {result.limit_error:.2g} ({result.verdict})")
     payload = {
         "best_ratio": result.best_ratio,
         "best_params": result.best_params,
-        "evaluations": result.evaluations,
-        "converged": result.converged,
-        "family": spec.kind,
-        "box": {k: list(v) for k, v in spec.box.items()},
+        "evaluations": len(result.trace),
+        "limit": result.limit,
+        "limit_error": result.limit_error,
+        "verdict": result.verdict,
     }
     record = make_record("scan", inst.describe(), payload, cfg)
     _write_atomic(_out_dir(cfg) / f"{label}.json", emit_json(record))
-    best = result.best_so_far()
+    names = list(result.best_params)
     rows = [
-        [i, *[entry.params[n] for n in names], entry.ratio, best[i]]
-        for i, entry in enumerate(result.trace)
+        [entry.width, *[entry.params[n] for n in names], entry.ratio, entry.error_bound]
+        for entry in result.trace
     ]
-    header = ["eval", *names, "ratio", "best_so_far"]
+    header = ["width", *names, "ratio", "error_bound"]
     _write_atomic(_out_dir(cfg) / f"{label}-trace.csv", emit_csv(rows, header))
+    if result.verdict == INDETERMINATE:
+        return EXIT_INDETERMINATE
     max_ratio = s.get("max_ratio")
-    if max_ratio is not None and result.best_ratio > float(max_ratio):
-        print(f"scan: best ratio exceeds the expected bound {max_ratio}")
+    if max_ratio is not None and result.limit > float(max_ratio):
+        print(f"scan: the limit exceeds the expected bound {max_ratio}")
         return EXIT_MATH
     return EXIT_OK
 

@@ -40,7 +40,14 @@ class Expr:
 
     kind: str
     args: tuple = ()
-    value: float = 0.0
+    value: float = field(default=0.0, compare=False)
+    # a constant compares and hashes by its bits: 0.0 and -0.0 are different
+    # trees, with different compiled functions, and a NaN constant is equal to itself
+    bits: bytes = field(default=b"", init=False, repr=False)
+
+    def __post_init__(self):
+        if self.kind == "const":
+            object.__setattr__(self, "bits", struct.pack("<d", self.value))
 
     def __add__(self, other):
         return add(self, _coerce(other))
@@ -261,7 +268,7 @@ def _compile_cached(e: Expr) -> Callable[[float], float]:
         if kind == "x":
             return "x"
         if kind == "const":
-            key = struct.pack("<d", node.value)  # 0.0 and -0.0 stay apart
+            key = node.bits
             if key not in names:
                 names[key] = f"c{len(names)}"
                 env[names[key]] = node.value
@@ -606,35 +613,23 @@ def identifiers(text: str) -> set[str]:
 
 @dataclass(frozen=True)
 class Interval:
-    """Open or half-open interval; infinite endpoints are always open."""
+    """Open interval (lo, hi); either end may be infinite."""
 
     lo: float
     hi: float
-    lo_open: bool = True
-    hi_open: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
         if not self.lo < self.hi:
             raise ValueError(f"empty interval ({self.lo}, {self.hi})")
-        if math.isinf(self.lo) and not self.lo_open:
-            object.__setattr__(self, "lo_open", True)
-        if math.isinf(self.hi) and not self.hi_open:
-            object.__setattr__(self, "hi_open", True)
 
     @property
     def finite(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
 
     def contains(self, x: float) -> bool:
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and self.lo_open:
-            return False
-        if x == self.hi and self.hi_open:
-            return False
-        return True
+        return self.lo < x < self.hi
 
     def window(self, span: float = 64.0) -> "Interval":
         """Finite sub-window used for sampling on unbounded intervals."""
@@ -642,7 +637,7 @@ class Interval:
         hi = self.hi if math.isfinite(self.hi) else min(span, lo + 2 * span)
         if not lo < hi:
             lo, hi = -span, span
-        return Interval(lo, hi, self.lo_open, self.hi_open)
+        return Interval(lo, hi)
 
     def midpoint_array(self, n: int) -> np.ndarray:
         """n cell-midpoint samples; never lands on the endpoints."""
@@ -795,10 +790,24 @@ def _fn_zeros(fn, xs: np.ndarray, vals: np.ndarray) -> tuple[list[float], list[f
     return seen, suspected
 
 
+def _compiled_on_first_call(e: Expr) -> Callable[[float], float]:
+    """``compile_fn(e)``, compiled when first called: most scans find no
+    cell to refine and never call it."""
+    fn = None
+
+    def call(x):
+        nonlocal fn
+        if fn is None:
+            fn = compile_fn(e)
+        return fn(x)
+
+    return call
+
+
 def zero_scan(e: Expr, interval: Interval) -> SingularScan:
     """Zeros of ``e`` itself on the closure of ``interval``."""
     xs = _scan_grid(interval)
-    seen, suspected = _fn_zeros(compile_fn(e), xs, eval_grid(e, xs))
+    seen, suspected = _fn_zeros(_compiled_on_first_call(e), xs, eval_grid(e, xs))
     return _collect_scan(seen, suspected, interval)
 
 
@@ -811,7 +820,7 @@ def singular_scan(e: Expr, interval: Interval) -> SingularScan:
     seen: list[float] = []
     suspected: list[float] = []
     for gen in generators:
-        pts, sus = _fn_zeros(compile_fn(gen), xs, eval_grid(gen, xs))
+        pts, sus = _fn_zeros(_compiled_on_first_call(gen), xs, eval_grid(gen, xs))
         seen.extend(pts)
         suspected.extend(sus)
     return _collect_scan(seen, suspected, interval)

@@ -70,7 +70,6 @@ class WeightedMeasure:
 
     density: Expr
     split_points: tuple
-    provenance: str
     indicators: tuple = ()
 
     def density_fn(self):
@@ -369,7 +368,6 @@ def build_measures(inst: HardyInstance) -> tuple[WeightedMeasure, WeightedMeasur
     mu1 = WeightedMeasure(
         density=mu1_density,
         split_points=splits,
-        provenance="lhs-weight",
         indicators=(("positive", u),),
     )
 
@@ -382,7 +380,6 @@ def build_measures(inst: HardyInstance) -> tuple[WeightedMeasure, WeightedMeasur
     mu2 = WeightedMeasure(
         density=mu2_density,
         split_points=splits,
-        provenance="rhs-weight",
         indicators=(("nonzero", up),),
     )
     inst._measures = (mu1, mu2)
@@ -405,13 +402,11 @@ def constant_exponent_measures(inst: HardyInstance) -> tuple[WeightedMeasure, We
     mu1_61 = WeightedMeasure(
         density=mul(factor, mu1.density),
         split_points=mu1.split_points,
-        provenance="lhs-weight-constant-exponent",
         indicators=mu1.indicators,
     )
     mu2_61 = WeightedMeasure(
         density=pow_(inst.u, sub(sub(p, beta), const(1.0))),
         split_points=mu2.split_points,
-        provenance="rhs-weight-constant-exponent",
         indicators=mu2.indicators,
     )
     return mu1_61, mu2_61

@@ -1,71 +1,38 @@
-"""Empirical sharpness probing: minimize RHS/LHS over test-function families.
+"""Empirical sharpness: the ratio RHS/LHS along one extremal sequence.
 
-The scan drives one bounded Nelder-Mead search (derivative-free; quadrature
-noise makes finite-difference gradients unreliable) over a parameter box,
-started from the family's preferred corner.  Every objective evaluation is
-recorded in a trace, and nothing is random, so a scan is reproducible from
-its box and budget alone.
+``hardy_cutoff(EPS, -w/2, w/2)``, ``x^(1/2+EPS)`` on a plateau ``w`` decades
+wide, approaches the classical extremal ``x^(1/2)`` as ``w`` grows.
+:func:`scan` evaluates the ratio at each width in :data:`WIDTHS` and
+extrapolates it to infinite width; for the classical Hardy inequality the
+limit is the optimal constant 1.  Nothing is random or adaptive.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .errors import InvalidParamsError, InvalidTestFunctionError, VacuousInstanceError
+from .errors import InvalidParamsError, VacuousInstanceError
 from .expr import Interval
 from .instance import HardyInstance, build_measures
-from .quadrature import DEFAULT_TOL_ABS
-from .verify import TestFunction, _require_support_inside, _run_hardy, power_bump
+from .quadrature import DEFAULT_TOL_ABS, STATUS_DIVERGENT
+from .verify import INDETERMINATE, TestFunction, _require_support_inside, _run_hardy
+
+EPS = 1e-8
+# plateau widths in decades; at 400 the left integral overflows
+WIDTHS = (18.75, 37.5, 75.0, 150.0)
+
+SHARP = "sharp"
+NOT_SHARP = "not-sharp"
 
 
-@dataclass
-class FamilySpec:
-    """Parameter box for one scan family.
-
-    ``box`` maps parameter names to (lo, hi) bounds in a fixed order;
-    ``fixed`` pins any family parameter that is not scanned.  The search
-    starts at the family's preferred point of the box.
-    """
-
-    kind: str = "hardy_cutoff"
-    box: dict = field(default_factory=dict)
-    fixed: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.box:
-            self.box = dict(default_box(self.kind))
-        for name, (lo, hi) in self.box.items():
-            if not lo < hi:
-                raise InvalidParamsError(f"empty box for parameter {name!r}")
-
-
-def default_box(kind: str) -> dict:
-    if kind == "hardy_cutoff":
-        return {
-            "eps": (1e-4, 0.3),
-            "log10_inner": (-40.0, -1.0),
-            "log10_outer": (1.0, 40.0),
-        }
-    if kind == "power_bump":
-        return {"center": (0.3, 3.0), "halfwidth": (0.1, 1.0), "height": (0.5, 2.0)}
-    raise InvalidParamsError(f"unknown scan family {kind!r}")
-
-
-def _default_anchor(kind: str, box: dict) -> dict:
-    if kind == "hardy_cutoff":
-        # the ratio decreases toward small eps and a wide plateau, so the
-        # preferred corner is the box minimum
-        return {
-            "eps": box["eps"][0],
-            "log10_inner": box["log10_inner"][0],
-            "log10_outer": box["log10_outer"][1],
-        }
-    return {name: 0.5 * (lo + hi) for name, (lo, hi) in box.items()}
+# Richardson weights: sum(c_i r_i) is the value at 1/w = 0 of the polynomial
+# in 1/w through the ratios at all four widths, and at the three narrowest;
+# the gap between the two estimates the error of the first
+_WEIGHTS = (-1 / 21, 2 / 3, -8 / 3, 64 / 21)
+_WEIGHTS_LOWER = (1 / 3, -2.0, 8 / 3)
 
 
 def _ramp(t: float) -> float:
@@ -159,121 +126,87 @@ def hardy_cutoff(eps: float, log10_inner: float, log10_outer: float) -> TestFunc
     )
 
 
-def build_family_member(inst: HardyInstance, kind: str, params: dict) -> TestFunction:
-    if kind == "hardy_cutoff":
-        return hardy_cutoff(params["eps"], params["log10_inner"], params["log10_outer"])
-    if kind == "power_bump":
-        k = float(math.ceil(inst.vp.p_plus) + 1)
-        return power_bump(
-            params["center"], params["halfwidth"], params.get("height", 1.0), k
+def _require_ratio_inputs(inst: HardyInstance, xi: TestFunction):
+    if inst.vacuous:
+        raise VacuousInstanceError("instance has an identically-zero left weight")
+    _require_support_inside(xi, inst.domain)
+
+
+def _bounded_ratio(inst: HardyInstance, xi: TestFunction, tol: float) -> tuple[float, float]:
+    """The ratio and a bound on its quadrature error; NaN and an infinite
+    bound when an integral is suspected divergent."""
+    mu1, mu2 = build_measures(inst)
+    rep = _run_hardy(inst, xi, mu1, mu2, tol, DEFAULT_TOL_ABS)
+    lhs, rhs = rep.lhs, rep.rhs_main.value + rep.rhs_log.value
+    if STATUS_DIVERGENT in (lhs.status, rep.rhs_main.status, rep.rhs_log.status):
+        return math.nan, math.inf
+    if lhs.value <= lhs.error_bound:
+        raise VacuousInstanceError(
+            f"left side {lhs.value!r} is within its error bound"
         )
-    raise InvalidParamsError(f"unknown scan family {kind!r}")
+    value = rhs / lhs.value
+    # the worst case of (rhs + e_rhs) / (lhs - e_lhs) against rhs / lhs
+    error = (rep.rhs_main.error_bound + rep.rhs_log.error_bound + value * lhs.error_bound) / (
+        lhs.value - lhs.error_bound
+    )
+    return value, error
 
 
 def ratio(inst: HardyInstance, xi: TestFunction, tol: float = 1e-6) -> float:
     """(rhs_main + rhs_log) / lhs for one test function, whose support must
     lie strictly inside the domain; the instance is vacuous when the left
-    side cannot be distinguished from zero."""
-    if inst.vacuous:
-        raise VacuousInstanceError("instance has an identically-zero left weight")
-    _require_support_inside(xi, inst.domain)
-    mu1, mu2 = build_measures(inst)
-    rep = _run_hardy(inst, xi, mu1, mu2, tol, DEFAULT_TOL_ABS)
-    if rep.lhs.value <= rep.lhs.error_bound:
-        raise VacuousInstanceError(
-            f"left side {rep.lhs.value!r} is within its error bound"
-        )
-    return (rep.rhs_main.value + rep.rhs_log.value) / rep.lhs.value
+    side cannot be distinguished from zero.  The ratio is NaN when an
+    integral is suspected divergent."""
+    _require_ratio_inputs(inst, xi)
+    return _bounded_ratio(inst, xi, tol)[0]
 
 
 @dataclass
 class TraceEntry:
+    width: float
     params: dict
     ratio: float
+    error_bound: float
 
 
 @dataclass
 class ScanResult:
-    best_ratio: float
+    best_ratio: float  # the smallest sampled ratio
     best_params: dict
-    trace: list
-    evaluations: int
-    converged: bool
-
-    def best_so_far(self) -> list:
-        out = []
-        best = math.inf
-        for entry in self.trace:
-            best = min(best, entry.ratio)
-            out.append(best)
-        return out
+    trace: list  # one TraceEntry per width, in the order of WIDTHS
+    limit: float
+    limit_error: float
+    verdict: str  # SHARP, NOT_SHARP or INDETERMINATE
 
 
-class _BudgetExhausted(Exception):
-    pass
+def scan(inst: HardyInstance, tol: float = 1e-6) -> ScanResult:
+    """The ratio at every width in WIDTHS and its limit, extrapolated with
+    the polynomial in ``1/w`` through all of them (Richardson).
 
-
-def _require_box_inside(inst: HardyInstance, spec: FamilySpec):
-    """Reject a box that lets the test function's support leave the domain.
-    Each end of the support is monotone in every parameter of both families,
-    so the widest supports sit at the corners of the box."""
-    names = list(spec.box)
-    for corner in itertools.product(*spec.box.values()):
-        point = dict(zip(names, corner))
-        support = build_family_member(inst, spec.kind, {**spec.fixed, **point}).support
-        if not (inst.domain.lo < support.lo and support.hi < inst.domain.hi):
-            where = ", ".join(f"{n}={v:g}" for n, v in point.items())
-            raise InvalidTestFunctionError(
-                f"scan box corner {where} gives support ({support.lo:g}, {support.hi:g}); "
-                f"test function support must lie strictly inside the domain "
-                f"({inst.domain.lo:g}, {inst.domain.hi:g})"
-            )
-
-
-def scan(
-    inst: HardyInstance,
-    spec: FamilySpec,
-    budget: int = 500,
-    tol: float = 1e-6,
-) -> ScanResult:
-    """Minimize the sharpness ratio over the family's parameter box.
-
-    Runs one bounded Nelder-Mead search from the family's anchor point; stops
-    when the evaluation budget is exhausted and reports best-so-far with
-    ``converged=False`` in that case.  A box whose corners reach outside the
-    domain is rejected before the first evaluation.
+    The limit's error is its gap to the extrapolant through the three
+    narrowest widths, plus each ratio's quadrature bound times the absolute
+    extrapolation weight.  The verdict is ``sharp`` when the limit is 1
+    within that error, ``not-sharp`` otherwise, and ``indeterminate`` when a
+    ratio is not finite or rests on a suspected divergence.
     """
-    if budget < 1:
-        raise InvalidParamsError("budget must be at least 1")
-    _require_box_inside(inst, spec)
-    names = list(spec.box.keys())
-    lows = np.array([spec.box[n][0] for n in names])
-    highs = np.array([spec.box[n][1] for n in names])
-    trace: list[TraceEntry] = []
-
-    def objective(vec):
-        if len(trace) >= budget:
-            raise _BudgetExhausted
-        point = {n: float(v) for n, v in zip(names, np.clip(vec, lows, highs))}
-        params = {**spec.fixed, **point}
-        xi = build_family_member(inst, spec.kind, params)
-        value = ratio(inst, xi, tol)
-        trace.append(TraceEntry(point, value))
-        return value
-
-    anchor = _default_anchor(spec.kind, spec.box)
-    try:
-        res = minimize(
-            objective,
-            np.array([anchor[n] for n in names], dtype=float),
-            method="Nelder-Mead",
-            bounds=list(zip(lows, highs)),
-            options={"maxfev": budget, "xatol": 1e-3, "fatol": 1e-5, "disp": False},
-        )
-        converged = bool(res.success)
-    except _BudgetExhausted:
-        converged = False
-
-    # minimize evaluates the anchor first, so the trace is never empty
+    members = [hardy_cutoff(EPS, -0.5 * w, 0.5 * w) for w in WIDTHS]
+    # the widest support holds every other, so one check comes before any evaluation
+    _require_ratio_inputs(inst, members[-1])
+    trace = [
+        TraceEntry(w, dict(xi.params), *_bounded_ratio(inst, xi, tol))
+        for w, xi in zip(WIDTHS, members)
+    ]
+    ratios = [entry.ratio for entry in trace]
+    limit = sum(c * r for c, r in zip(_WEIGHTS, ratios))
+    lower = sum(c * r for c, r in zip(_WEIGHTS_LOWER, ratios))
+    limit_error = abs(limit - lower) + sum(
+        abs(c) * entry.error_bound for c, entry in zip(_WEIGHTS, trace)
+    )
+    if not (math.isfinite(limit) and math.isfinite(limit_error)):
+        verdict = INDETERMINATE
+    elif abs(limit - 1.0) <= limit_error:
+        verdict = SHARP
+    else:
+        verdict = NOT_SHARP
     best = min(trace, key=lambda e: e.ratio)
-    return ScanResult(best.ratio, dict(best.params), trace, len(trace), converged)
+    return ScanResult(best.ratio, dict(best.params), trace, limit, limit_error, verdict)

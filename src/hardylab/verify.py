@@ -424,7 +424,6 @@ def _log_weight_measure(inst, mu2):
     return WeightedMeasure(
         density=mul(weight, mu2.density),
         split_points=mu2.split_points,
-        provenance="rhs-log-weight",
         indicators=mu2.indicators,
     )
 

@@ -13,7 +13,7 @@ from hardylab.expr import Interval, parse
 from hardylab.instance import build_measures, preset, weak_pdi_residual
 from hardylab.quadrature import STATUS_DIVERGENT, integrate
 from hardylab.report import parse_json
-from hardylab.sharpness import FamilySpec, scan
+from hardylab.sharpness import scan
 from hardylab.spaces import luxemburg_norm, modular, validate_exponent
 from hardylab.verify import batch_verify, check_sum_power, check_young, tent, verify_caccioppoli
 
@@ -129,13 +129,14 @@ def test_criterion_4_classical_constant_recovery():
     brute = float(K.max())
     brute_ok = abs(brute - 0.25) <= 1e-3
 
-    res = scan(inst, FamilySpec(kind="hardy_cutoff"), budget=500)
-    ratio_ok = res.best_ratio <= 1.10
+    res = scan(inst)
+    ratio_ok = res.best_ratio <= 1.10 and res.verdict == "sharp"
     _conclude(
         4, "classical constant recovery",
         weight_ok and brute_ok and ratio_ok,
         f"weight 1/4 exact={weight_ok}, brute force max={brute:.6f}, "
-        f"best ratio {res.best_ratio:.4f}",
+        f"best ratio {res.best_ratio:.4f}, limit {res.limit:.9g} +- {res.limit_error:.2g} "
+        f"({res.verdict})",
     )
 
 

@@ -134,24 +134,32 @@ def test_scan_vacuous_instance(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
         "[instance]\npreset = cor53\nalpha = 1\np = 2\nsigma = 0\nbeta = 1\n"
-        "[scan]\nbudget = 10\nfamily = power_bump\nbox_center = 0.3, 0.7\n"
-        "box_halfwidth = 0.1, 0.2\n"
         f"[output]\ndir = {tmp_path / 'out'}\n",
     )
     assert main(["scan", "--config", cfg]) == EXIT_MATH
     assert "vacuous" in capsys.readouterr().out
 
 
-def test_scan_single_evaluation(tmp_path):
+def test_scan_writes_one_trace_row_per_width(tmp_path, capsys):
     out = tmp_path / "out"
-    cfg = _write_config(
-        tmp_path,
-        "[instance]\npreset = constp\n[scan]\nbudget = 1\n"
-        f"[output]\ndir = {out}\n",
-    )
+    cfg = _write_config(tmp_path, f"[instance]\npreset = constp\n[output]\ndir = {out}\n")
     assert main(["scan", "--config", cfg]) == EXIT_OK
-    trace = (out / "scan-trace.csv").read_text().strip().split("\n")
-    assert len(trace) == 2  # header plus exactly one evaluation
+    assert "scan: limit 1.00000001 +- 8.2e-06 (sharp)" in capsys.readouterr().out
+    header, *rows = (out / "scan-trace.csv").read_text().strip().split("\n")
+    assert header == "width,eps,log10_inner,log10_outer,ratio,error_bound"
+    assert [row.split(",")[0] for row in rows] == ["18.75", "37.5", "75", "150"]
+    payload = parse_json((out / "scan.json").read_bytes()).payload
+    assert payload["verdict"] == "sharp"
+    assert abs(payload["limit"] - 1.0) <= payload["limit_error"]
+
+
+def test_indeterminate_scan_exits_3(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    monkeypatch.setattr(sharpness, "_bounded_ratio", lambda *a: (math.nan, math.inf))
+    cfg = _write_config(tmp_path, f"[instance]\npreset = constp\n[output]\ndir = {out}\n")
+    assert main(["scan", "--config", cfg]) == EXIT_INDETERMINATE
+    assert "(indeterminate)" in capsys.readouterr().out
+    assert parse_json((out / "scan.json").read_bytes()).payload["verdict"] == "indeterminate"
 
 
 def test_reproduce_unknown_scenario(tmp_path):
@@ -240,34 +248,20 @@ def test_unknown_key_rejected(tmp_path, section, line):
     assert main(["check", "--config", cfg]) == EXIT_USAGE
 
 
-def test_scan_rejects_support_outside_domain(tmp_path, capsys):
-    # the default hardy_cutoff family reaches up to 2e40, far outside (-1, 1)
+def test_scan_rejects_support_outside_domain(tmp_path, capsys, monkeypatch):
+    # the widest member reaches up to 2e75, far outside (-1, 1); it is
+    # rejected before any ratio is evaluated or any output written
+    calls = []
+    real_run_hardy = sharpness._run_hardy
+    monkeypatch.setattr(sharpness, "_run_hardy", lambda *a: calls.append(a) or real_run_hardy(*a))
     cfg = _write_config(
         tmp_path,
-        "[instance]\npreset = cor51\n[scan]\nbudget = 1\n"
-        f"[output]\ndir = {tmp_path / 'out'}\n",
+        f"[instance]\npreset = cor51\n[output]\ndir = {tmp_path / 'out'}\n",
     )
     assert main(["scan", "--config", cfg]) == EXIT_MATH
     captured = capsys.readouterr()
     assert "support must lie strictly inside the domain" in captured.err
     assert "vacuous" not in captured.out
-
-
-@pytest.mark.parametrize("instance", ["preset = constp", "preset = cor51"])
-def test_scan_rejects_a_box_outside_the_domain_before_evaluating(tmp_path, capsys, monkeypatch, instance):
-    # the default power_bump box reaches below 0 (constp) and past 1 (cor51)
-    calls = []
-    real_ratio = sharpness.ratio
-    monkeypatch.setattr(sharpness, "ratio", lambda *a, **k: calls.append(a) or real_ratio(*a, **k))
-    cfg = _write_config(
-        tmp_path,
-        f"[instance]\n{instance}\n[scan]\nfamily = power_bump\n"
-        f"[output]\ndir = {tmp_path / 'out'}\n",
-    )
-    assert main(["scan", "--config", cfg]) == EXIT_MATH
-    err = capsys.readouterr().err
-    assert "support must lie strictly inside the domain" in err
-    assert "center=" in err and "halfwidth=" in err
     assert calls == []
     assert not (tmp_path / "out").exists()
 
@@ -452,54 +446,49 @@ def test_indeterminate_admissibility_exits_3(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("key", ["budget", "restarts"])
 @pytest.mark.parametrize("value", ["0", "-2", "1e3"])
-def test_scan_counts_must_be_positive_integers(tmp_path, monkeypatch, key, value):
+def test_removed_scan_count_keys_are_unknown(tmp_path, capsys, monkeypatch, key, value):
     cfg = _write_config(
         tmp_path,
         f"[instance]\npreset = constp\n[scan]\n{key} = {value}\n"
         f"[output]\ndir = {tmp_path / 'out'}\n",
     )
     assert main(["scan", "--config", cfg]) == EXIT_USAGE
+    assert f"unknown key {key!r} in [scan]" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     monkeypatch.setenv(f"HARDYLAB_SCAN_{key.upper()}", value)
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(InvalidParamsError, match="unknown key"):
         load_config(None)
 
 
-def test_scan_box_key_replaces_one_parameter(tmp_path):
-    out = tmp_path / "out"
-    cfg = _write_config(
-        tmp_path,
-        "[instance]\npreset = constp\n[scan]\nbudget = 1\nbox_eps = 0.01, 0.3\n"
-        f"[output]\ndir = {out}\n",
-    )
-    assert main(["scan", "--config", cfg]) == EXIT_OK
-    record = parse_json((out / "scan.json").read_bytes())
-    assert record.payload["box"] == {
-        "eps": [0.01, 0.3], "log10_inner": [-40.0, -1.0], "log10_outer": [1.0, 40.0],
-    }
-    assert record.payload["best_params"]["eps"] == 0.01  # the anchor corner
-
-
 @pytest.mark.parametrize(
-    "line, message",
+    "line",
     [
-        ("box_foo = 0, 1", "'foo'"),
-        ("box_eps = 0.3, 0.01", "box_eps"),
-        ("box_eps = 0.1", "box_eps"),
-        ("box_eps = 0.1, 0.2, 0.3", "box_eps"),
-        ("box_eps = a, b", "box_eps"),
-        ("box_eps = 0.1, inf", "box_eps"),
-        ("box_eps = nan, 0.2", "box_eps"),
+        "family = hardy_cutoff",
+        "family = power_bump",
+        "box_eps = 0.01, 0.3",
+        "box_log10_inner = -40, -1",
+        "box_log10_outer = 1, 40",
+        "box_center = 0.3, 0.7",
+        "box_halfwidth = 0.1, 0.2",
+        "box_height = 0.5, 2",
+        "box_foo = 0, 1",
+        "box_eps = 0.3, 0.01",
+        "box_eps = 0.1",
+        "box_eps = 0.1, 0.2, 0.3",
+        "box_eps = a, b",
+        "box_eps = 0.1, inf",
+        "box_eps = nan, 0.2",
     ],
 )
-def test_bad_scan_box_rejected_before_the_instance(tmp_path, capsys, line, message):
+def test_removed_scan_family_and_box_keys_are_unknown(tmp_path, capsys, line):
+    key = line.split(" = ")[0]
     cfg = _write_config(
         tmp_path,
-        f"[instance]\npreset = constp\n[scan]\nbudget = 1\n{line}\n"
+        f"[instance]\npreset = constp\n[scan]\n{line}\n"
         f"[output]\ndir = {tmp_path / 'out'}\n",
     )
     assert main(["scan", "--config", cfg]) == EXIT_USAGE
-    assert message in capsys.readouterr().err
+    assert f"unknown key {key!r} in [scan]" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

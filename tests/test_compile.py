@@ -15,9 +15,7 @@ from hardylab.instance import build_measures, lhs_core_expr
 
 
 def _reference(e: Expr):
-    """The node-by-node closure compiler, kept as the reference.  It has no
-    per-subtree cache: equal trees such as ``x + 0.0`` and ``x + -0.0``
-    would share one closure."""
+    """The node-by-node closure compiler, kept as the reference."""
     kind = e.kind
     if kind == "const":
         v = e.value
@@ -85,14 +83,18 @@ def _bits(v):
 
 def _outcome(fn, x):
     try:
-        return ("value", _bits(fn(x)))
+        value = fn(x)
     except Exception as err:  # the same exception must come from both sides
         return ("raised", type(err), str(err), _bits(getattr(err, "x", math.nan)))
+    # IEEE 754 leaves the sign of a NaN result open, and CPython's is not
+    # stable: `a + b` with a = -nan, b = nan gives nan until the interpreter
+    # specializes the addition, and -nan after.  So a NaN matches any NaN;
+    # every other value must match bit for bit.
+    return ("value", "nan" if math.isnan(value) else _bits(value))
 
 
 def _generated(e):
-    # bypass the cache: an equal tree with a 0.0 where this one has -0.0
-    # may already be cached
+    # generated afresh, past the cache
     return expr._compile_cached.__wrapped__(e)
 
 
@@ -154,6 +156,26 @@ def test_signed_zero_constants_stay_apart():
     product = Expr("*", (Expr("const", value=-0.0), Expr("const", value=0.0)))
     _assert_same(product, [1.0])
     assert _bits(_generated(product)(1.0)) == _bits(-0.0)
+
+
+def test_cached_functions_tell_signed_zeros_apart(fresh_cache):
+    # both trees print as 0*x; only the constant's sign bit differs
+    plus, minus = (Expr("*", (Expr("const", value=z), X)) for z in (0.0, -0.0))
+    assert plus != minus
+    assert math.copysign(1.0, compile_fn(plus)(1.0)) == 1.0
+    assert math.copysign(1.0, compile_fn(minus)(1.0)) == -1.0
+
+
+def test_a_nan_constant_finds_its_compiled_function_again(fresh_cache):
+    def tree():
+        # a new NaN object each time, as parsing makes one per constant
+        return Expr("+", (Expr("const", value=float("nan")), X))
+
+    assert tree() == tree() and hash(tree()) == hash(tree())
+    first = compile_fn(tree())
+    hits = expr._compile_cached.cache_info().hits
+    assert compile_fn(tree()) is first
+    assert expr._compile_cached.cache_info().hits == hits + 1
 
 
 @pytest.mark.parametrize("name", sorted(cli.SCENARIOS))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hardylab import expr
 from hardylab.errors import EvalDomainError, ParseError, UnknownIdentifierError
 from hardylab.expr import (
     Interval,
@@ -212,6 +213,28 @@ def test_zero_scan_brackets_a_crossing_of_tiny_values():
     assert scan.suspected == []
 
 
+def _counting_compile(monkeypatch):
+    compiled = []
+    real = expr.compile_fn
+    monkeypatch.setattr(expr, "compile_fn", lambda e: compiled.append(e) or real(e))
+    return compiled
+
+
+def test_a_scan_with_nothing_to_refine_compiles_nothing(monkeypatch):
+    # the denominator x + 1 keeps its sign on [0, 1]: no cell is refined
+    compiled = _counting_compile(monkeypatch)
+    assert singular_scan(parse("1/(x+1)"), Interval(0, 1)).points == []
+    assert zero_scan(parse("x + 1"), Interval(0, 1)).points == []
+    assert compiled == []
+
+
+def test_a_scan_compiles_each_generator_once(monkeypatch):
+    compiled = _counting_compile(monkeypatch)
+    scan = singular_scan(parse("1/((x-0.3)*(x-0.6))"), Interval(0, 1))
+    assert scan.points == [pytest.approx(0.3, abs=1e-14), pytest.approx(0.6, abs=1e-14)]
+    assert compiled == [parse("(x-0.3)*(x-0.6)")]
+
+
 def test_compile_fn_matches_evaluate():
     e = parse("min(exp(x), 2)*abs(x-1) + x/(x^2+1)")
     fn = compile_fn(e)
@@ -221,7 +244,6 @@ def test_compile_fn_matches_evaluate():
 
 def test_interval_basics():
     iv = Interval(0, math.inf)
-    assert iv.lo_open and iv.hi_open
     assert not iv.contains(0.0)
     assert iv.contains(5.0)
     with pytest.raises(ValueError):

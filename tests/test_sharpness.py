@@ -2,11 +2,12 @@ import math
 
 import pytest
 
+from hardylab import sharpness
 from hardylab.errors import InvalidParamsError, VacuousInstanceError
-from hardylab.expr import Interval
 from hardylab.instance import preset
-from hardylab.sharpness import FamilySpec, hardy_cutoff, ratio, scan
-from hardylab.verify import power_bump
+from hardylab.quadrature import STATUS_CONVERGED, STATUS_DIVERGENT, QuadratureResult
+from hardylab.sharpness import _WEIGHTS, _WEIGHTS_LOWER, WIDTHS, hardy_cutoff, ratio, scan
+from hardylab.verify import VerificationReport, power_bump
 
 
 @pytest.fixture(scope="module")
@@ -52,55 +53,60 @@ def test_cutoff_family_rejects_bad_params():
         hardy_cutoff(0.1, 2.0, 1.0)
 
 
-def test_scan_budget_one(classical):
-    res = scan(classical, FamilySpec(), budget=1)
-    assert res.evaluations == 1
-    assert len(res.trace) == 1
-    assert not res.converged
-    assert res.best_ratio == res.trace[0].ratio
+@pytest.fixture(scope="module")
+def classical_scan(classical):
+    return scan(classical)
 
 
-def test_scan_determinism(classical):
-    a = scan(classical, FamilySpec(), budget=40)
-    b = scan(classical, FamilySpec(), budget=40)
-    assert a.best_ratio == b.best_ratio
-    assert [(e.params, e.ratio) for e in a.trace] == [(e.params, e.ratio) for e in b.trace]
+@pytest.mark.parametrize("weights", [_WEIGHTS, _WEIGHTS_LOWER])
+def test_extrapolation_weights_are_exact_on_polynomials_in_one_over_width(weights):
+    # exact up to the degree the widths allow: cubic for four, quadratic for three
+    coefficients = (2.0, -3.0, 5.0, 7.0)[: len(weights)]
+    for degree in range(len(weights)):
+        def r(w):
+            return sum(c / w**k for k, c in enumerate(coefficients[: degree + 1]))
+
+        limit = sum(c * r(w) for c, w in zip(weights, WIDTHS))
+        assert limit == pytest.approx(2.0, abs=1e-12)
+    assert sum(abs(c) for c in _WEIGHTS) == pytest.approx(6.43, abs=5e-3)
 
 
-def test_scan_best_so_far_monotone(classical):
-    res = scan(classical, FamilySpec(), budget=40)
-    best = res.best_so_far()
-    assert all(b1 >= b2 for b1, b2 in zip(best, best[1:]))
-    assert best[-1] == res.best_ratio
-
-
-def test_scan_never_undercuts_one(classical):
-    res = scan(classical, FamilySpec(), budget=60)
-    assert res.best_ratio >= 1.0 - 2e-6
-
-
-def test_scan_flat_family_terminates_early(classical):
-    # a single pure-scale parameter leaves the ratio constant; the search
-    # stops well inside the budget
-    spec = FamilySpec(
-        kind="power_bump",
-        box={"height": (0.5, 2.0)},
-        fixed={"center": 1.0, "halfwidth": 0.8},
-    )
-    res = scan(classical, spec, budget=200)
+def test_scan_recovers_the_classical_constant(classical_scan):
+    res = classical_scan
+    assert [e.width for e in res.trace] == list(WIDTHS)
     ratios = [e.ratio for e in res.trace]
-    assert max(ratios) - min(ratios) <= 1e-8
-    assert res.evaluations < 60
-    assert res.converged
+    assert all(r1 > r2 for r1, r2 in zip(ratios, ratios[1:]))  # wider is nearer
+    assert res.best_ratio == ratios[-1] <= 1.10
+    assert res.best_params == {"eps": 1e-8, "log10_inner": -75.0, "log10_outer": 75.0}
+    assert res.verdict == "sharp"
+    assert abs(res.limit - 1.0) <= res.limit_error < 1e-4
 
 
-def test_scan_power_bump_family_on_interval_instance():
-    inst = preset("cor51", M=1.0, p="2", sigma="1", beta=2.0)
-    spec = FamilySpec(
-        kind="power_bump",
-        box={"center": (-0.3, 0.3), "halfwidth": (0.1, 0.5)},
-        fixed={"height": 1.0},
-    )
-    res = scan(inst, spec, budget=50)
-    assert res.best_ratio >= 1.0 - 2e-6
-    assert res.evaluations <= 50
+def test_scan_determinism(classical, classical_scan):
+    again = scan(classical)
+    assert again.limit == classical_scan.limit
+    assert again.trace == classical_scan.trace
+
+
+def test_scan_never_undercuts_one(classical_scan):
+    assert all(e.ratio >= 1.0 - 2e-6 for e in classical_scan.trace)
+
+
+def test_scan_is_not_sharp_where_the_family_is_not_extremal():
+    # for p = 3 the ratio of x^(1/2) cutoffs tends to 2, not to 1
+    res = scan(preset("constp", p="3"))
+    assert res.verdict == "not-sharp"
+    assert res.limit == pytest.approx(2.0, abs=1e-4)
+
+
+def test_divergent_integral_makes_the_scan_indeterminate(classical, monkeypatch):
+    # a left integral of NaN passes a `value <= error_bound` test; the
+    # divergence status, not the value, must decide
+    nan = QuadratureResult(math.nan, math.nan, 1, STATUS_DIVERGENT)
+    one = QuadratureResult(1.0, 0.0, 1, STATUS_CONVERGED)
+    report = VerificationReport(nan, one, one, math.nan, "indeterminate")
+    monkeypatch.setattr(sharpness, "_run_hardy", lambda *a: report)
+    assert math.isnan(ratio(classical, hardy_cutoff(1e-8, -2.0, 2.0)))
+    res = scan(classical)
+    assert res.verdict == "indeterminate"
+    assert all(math.isnan(e.ratio) and e.error_bound == math.inf for e in res.trace)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from hardylab.instance import preset
-from hardylab.sharpness import FamilySpec, scan
+from hardylab.sharpness import WIDTHS, scan
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -36,5 +36,7 @@ def test_every_traced_site_resolves(tracing):
 
 def test_traced_scan_info_reads_the_trace(tracing):
     # the sharpness.evals_to_best and best_ratio metrics come from this
-    result = scan(preset("constp"), FamilySpec(), budget=1)
-    assert tracing._info("sharpness.scan", (), result) == [1, result.best_ratio]
+    result = scan(preset("constp"))
+    assert tracing._info("sharpness.scan", (), result) == [len(WIDTHS), result.best_ratio]
+    assert result.best_ratio <= 1.10
+    assert result.verdict == "sharp"
