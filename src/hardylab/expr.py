@@ -178,14 +178,6 @@ def sgn(a) -> Expr:
     return Expr("sgn", (_coerce(a),))
 
 
-def min_(a, b) -> Expr:
-    return Expr("min", (_coerce(a), _coerce(b)))
-
-
-def max_(a, b) -> Expr:
-    return Expr("max", (_coerce(a), _coerce(b)))
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 

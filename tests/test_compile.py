@@ -88,9 +88,11 @@ def _outcome(fn, x):
         return ("raised", type(err), str(err), _bits(getattr(err, "x", math.nan)))
     # IEEE 754 leaves the sign of a NaN result open, and CPython's is not
     # stable: `a + b` with a = -nan, b = nan gives nan until the interpreter
-    # specializes the addition, and -nan after.  So a NaN matches any NaN;
-    # every other value must match bit for bit.
-    return ("value", "nan" if math.isnan(value) else _bits(value))
+    # specializes the addition, and -nan after.  So a NaN's sign bit is
+    # cleared; its payload and every other value must match bit for bit.
+    if math.isnan(value):
+        value = math.copysign(value, 1.0)
+    return ("value", _bits(value))
 
 
 def _generated(e):

@@ -6,7 +6,16 @@ from hardylab import sharpness
 from hardylab.errors import InvalidParamsError, VacuousInstanceError
 from hardylab.instance import preset
 from hardylab.quadrature import STATUS_CONVERGED, STATUS_DIVERGENT, QuadratureResult
-from hardylab.sharpness import _WEIGHTS, _WEIGHTS_LOWER, WIDTHS, hardy_cutoff, ratio, scan
+from hardylab.sharpness import (
+    _WEIGHTS,
+    _WEIGHTS_LOWER,
+    MAX_LIMIT_ERROR,
+    WIDTHS,
+    _extrapolation_weights,
+    hardy_cutoff,
+    ratio,
+    scan,
+)
 from hardylab.verify import VerificationReport, power_bump
 
 
@@ -58,16 +67,23 @@ def classical_scan(classical):
     return scan(classical)
 
 
-@pytest.mark.parametrize("weights", [_WEIGHTS, _WEIGHTS_LOWER])
-def test_extrapolation_weights_are_exact_on_polynomials_in_one_over_width(weights):
-    # exact up to the degree the widths allow: cubic for four, quadratic for three
-    coefficients = (2.0, -3.0, 5.0, 7.0)[: len(weights)]
-    for degree in range(len(weights)):
+@pytest.mark.parametrize("widths", [WIDTHS, WIDTHS[:3], (1.0, 2.5, 7.0, 11.0, 30.0)])
+def test_extrapolation_weights_are_exact_on_polynomials_in_one_over_width(widths):
+    # exact up to degree len(widths) - 1 in 1/w: the value at 1/w = 0 is c_0
+    weights = _extrapolation_weights(widths)
+    coefficients = (2.0, -3.0, 5.0, 7.0, -11.0)
+    for degree in range(len(widths)):
         def r(w):
             return sum(c / w**k for k, c in enumerate(coefficients[: degree + 1]))
 
-        limit = sum(c * r(w) for c, w in zip(weights, WIDTHS))
+        limit = sum(c * r(w) for c, w in zip(weights, widths))
         assert limit == pytest.approx(2.0, abs=1e-12)
+
+
+def test_scan_extrapolates_through_all_widths_and_the_three_narrowest():
+    assert _WEIGHTS == _extrapolation_weights(WIDTHS)
+    assert _WEIGHTS_LOWER == _extrapolation_weights(WIDTHS[:3])
+    assert _WEIGHTS == pytest.approx((-1 / 21, 2 / 3, -8 / 3, 64 / 21), rel=1e-15)
     assert sum(abs(c) for c in _WEIGHTS) == pytest.approx(6.43, abs=5e-3)
 
 
@@ -97,6 +113,16 @@ def test_scan_is_not_sharp_where_the_family_is_not_extremal():
     res = scan(preset("constp", p="3"))
     assert res.verdict == "not-sharp"
     assert res.limit == pytest.approx(2.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("tol", [0.1, 1.0])
+def test_a_loose_tolerance_cannot_make_the_scan_sharp(tol):
+    # at these tolerances the error bound of the p = 3 limit (about 2) exceeds
+    # |limit - 1|; no verdict is drawn from so wide a bound
+    res = scan(preset("constp", p="3"), tol=tol)
+    assert res.limit_error > MAX_LIMIT_ERROR
+    assert abs(res.limit - 1.0) <= res.limit_error
+    assert res.verdict == "indeterminate"
 
 
 def test_divergent_integral_makes_the_scan_indeterminate(classical, monkeypatch):
