@@ -49,36 +49,6 @@ class Expr:
         if self.kind == "const":
             object.__setattr__(self, "bits", struct.pack("<d", self.value))
 
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __pow__(self, other):
-        return pow_(self, _coerce(other))
-
-    def __neg__(self):
-        return neg(self)
-
     def __repr__(self):
         return f"Expr({to_string(self)!r})"
 
@@ -88,12 +58,6 @@ X = Expr("x")
 
 def const(v: float) -> Expr:
     return Expr("const", value=float(v))
-
-
-def _coerce(v) -> Expr:
-    if isinstance(v, Expr):
-        return v
-    return const(v)
 
 
 def _is_const(e: Expr, v=None) -> bool:
@@ -162,20 +126,20 @@ def neg(a: Expr) -> Expr:
     return Expr("neg", (a,))
 
 
-def exp(a) -> Expr:
-    return Expr("exp", (_coerce(a),))
+def exp(a: Expr) -> Expr:
+    return Expr("exp", (a,))
 
 
-def log(a) -> Expr:
-    return Expr("log", (_coerce(a),))
+def log(a: Expr) -> Expr:
+    return Expr("log", (a,))
 
 
-def abs_(a) -> Expr:
-    return Expr("abs", (_coerce(a),))
+def abs_(a: Expr) -> Expr:
+    return Expr("abs", (a,))
 
 
-def sgn(a) -> Expr:
-    return Expr("sgn", (_coerce(a),))
+def sgn(a: Expr) -> Expr:
+    return Expr("sgn", (a,))
 
 
 # ---------------------------------------------------------------------------

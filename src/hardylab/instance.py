@@ -28,6 +28,7 @@ from .expr import (
     Expr,
     Interval,
     abs_,
+    add,
     compile_fn,
     const,
     differentiate,
@@ -134,7 +135,6 @@ class HardyInstance:
     condition_name: str = ""
     preset: str | None = None
     params: dict = field(default_factory=dict)
-    vacuous: bool = False
 
     def __post_init__(self):
         if not self.beta > 0:
@@ -150,8 +150,10 @@ class HardyInstance:
         self._admissibility = None
 
     @property
-    def p(self) -> Expr:
-        return self.vp.p
+    def vacuous(self) -> bool:
+        """True when the preset's closed-form condition is the zero constant;
+        the left weight then vanishes identically."""
+        return self.condition is not None and _is_zero_const(self.condition)
 
     def describe(self) -> dict:
         from .expr import to_string
@@ -199,7 +201,7 @@ def negative_divergence_expr(u: Expr, p: Expr) -> Expr:
     up = differentiate(u)
     upp = differentiate(up)
     dp = differentiate(p)
-    inner = mul(mul(dp, up), log(abs_(up))) + mul(sub(p, const(1.0)), upp)
+    inner = add(mul(mul(dp, up), log(abs_(up))), mul(sub(p, const(1.0)), upp))
     return neg(mul(pow_(abs_(up), sub(p, const(2.0))), inner))
 
 
@@ -220,7 +222,7 @@ def lhs_core_expr(inst: HardyInstance) -> Expr:
 
 def pointwise_condition_expr(inst: HardyInstance) -> Expr:
     """Phi u + sigma |u'|^p, the pointwise admissibility requirement."""
-    return mul(inst.phi, inst.u) + mul(inst.sigma, pow_(abs_(inst.u_prime), inst.vp.p))
+    return add(mul(inst.phi, inst.u), mul(inst.sigma, pow_(abs_(inst.u_prime), inst.vp.p)))
 
 
 def _sample_points(interval: Interval, singulars=()) -> np.ndarray:
@@ -363,7 +365,7 @@ def build_measures(inst: HardyInstance) -> tuple[WeightedMeasure, WeightedMeasur
 
     mu1_density = mul(
         pointwise_condition_expr(inst),
-        pow_(u, neg(beta) - const(1.0)),
+        pow_(u, sub(neg(beta), const(1.0))),
     )
     mu1 = WeightedMeasure(
         density=mu1_density,
@@ -416,18 +418,6 @@ def constant_exponent_measures(inst: HardyInstance) -> tuple[WeightedMeasure, We
 # presets
 
 
-def _as_interval(value, default: Interval) -> Interval:
-    if value is None:
-        return default
-    if isinstance(value, Interval):
-        return value
-    if isinstance(value, str):
-        from .expr import interval_from_text
-
-        return interval_from_text(value)
-    return Interval(*value)
-
-
 def _require_positive_domain(domain: Interval, name: str):
     if domain.lo < 0:
         raise InvalidParamsError(f"{name} needs a domain inside the positive half-line")
@@ -439,7 +429,9 @@ def preset(name: str, **params) -> HardyInstance:
     """
     if name not in _PRESETS:
         raise InvalidParamsError(f"unknown preset {name!r}")
-    return _PRESETS[name](**params)
+    inst = _PRESETS[name](**params)
+    inst.preset = name
+    return inst
 
 
 def preset_names() -> list[str]:
@@ -467,121 +459,106 @@ def _preset_distance(M=1.0, p="2", sigma="1", beta=2.0, domain=None, **extra):
     M = float(M)
     if M <= 0:
         raise InvalidParamsError(f"M must be positive, got {M!r}")
-    domain = _as_interval(domain, Interval(-M, M))
+    if domain is None:
+        domain = Interval(-M, M)
     if domain.lo < -M or domain.hi > M:
         raise InvalidParamsError("domain must sit inside (-M, M)")
     bind = {"M": M, **extra}
     sigma_e = _parse_arg(sigma, bind)
-    inst = make_instance(
+    return make_instance(
         domain, _parse_arg(p, bind), parse("M - abs(x)", {"M": M}),
         const(0.0), sigma_e, beta,
         params={"M": M, **extra},
         condition=sigma_e,
         condition_name="sigma-nonnegative",
-        preset="cor51",
     )
-    return inst
 
 
 def _power_condition(alpha: float, p: Expr, sigma: Expr) -> Expr:
     dp = differentiate(p)
     a = const(alpha)
     mid = mul(mul(dp, mul(X, a)), log(abs_(mul(a, pow_(X, const(alpha - 1.0))))))
-    return sub(mul(sigma, const(alpha * alpha)), mid) + mul(
-        sub(p, const(1.0)), const(alpha * (1.0 - alpha))
+    return add(
+        sub(mul(sigma, const(alpha * alpha)), mid),
+        mul(sub(p, const(1.0)), const(alpha * (1.0 - alpha))),
     )
 
 
-def _preset_power(alpha=2.0, p="x+3", sigma="2", beta=3.0, domain=None, **extra):
+def _preset_power(alpha=2.0, p="x+3", sigma="2", beta=3.0, domain=Interval(0.0, 1.0), **extra):
     alpha = float(alpha)
-    domain = _as_interval(domain, Interval(0.0, 1.0))
     _require_positive_domain(domain, "cor53")
     bind = {"alpha": alpha, **extra}
     p_e, sigma_e = _parse_arg(p, bind), _parse_arg(sigma, bind)
     cond = _power_condition(alpha, p_e, sigma_e)
-    inst = make_instance(
+    return make_instance(
         domain, p_e, pow_(X, const(alpha)), None, sigma_e, beta,
         params={"alpha": alpha, **extra},
         condition=cond,
         condition_name="power-weight-condition",
-        preset="cor53",
-        vacuous=_is_zero_const(cond),
     )
-    return inst
 
 
-def _preset_reciprocal(a=1.0, p="2", sigma="2.5", beta=3.5, domain=None, **extra):
+def _preset_reciprocal(a=1.0, p="2", sigma="2.5", beta=3.5, domain=Interval(0.1, 10.0), **extra):
     a = float(a)
     if a <= 0:
         raise InvalidParamsError(f"a must be positive, got {a!r}")
-    domain = _as_interval(domain, Interval(0.1, 10.0))
     _require_positive_domain(domain, "cor54")
     bind = {"a": a, **extra}
     p_e, sigma_e = _parse_arg(p, bind), _parse_arg(sigma, bind)
     dp = differentiate(p_e)
-    cond = sigma_e + mul(mul(dp, X), log(div(const(a), pow_(X, const(2.0))))) - mul(
-        const(2.0), p_e
-    ) + const(2.0)
-    inst = make_instance(
+    cond = add(
+        sub(add(sigma_e, mul(mul(dp, X), log(div(const(a), pow_(X, const(2.0)))))),
+            mul(const(2.0), p_e)),
+        const(2.0),
+    )
+    return make_instance(
         domain, p_e, div(const(a), X), None, sigma_e, beta,
         params={"a": a, **extra},
         condition=cond,
         condition_name="reciprocal-weight-condition",
-        preset="cor54",
-        vacuous=_is_zero_const(cond),
     )
-    return inst
 
 
-def _preset_exponential(p="2", sigma="1", beta=2.0, domain=None, **extra):
-    domain = _as_interval(domain, Interval(-5.0, 5.0))
+def _preset_exponential(p="2", sigma="1", beta=2.0, domain=Interval(-5.0, 5.0), **extra):
     bind = dict(extra)
     p_e, sigma_e = _parse_arg(p, bind), _parse_arg(sigma, bind)
     dp = differentiate(p_e)
-    cond = sigma_e - mul(dp, X) - p_e + const(1.0)
-    inst = make_instance(
+    cond = add(sub(sub(sigma_e, mul(dp, X)), p_e), const(1.0))
+    return make_instance(
         domain, p_e, exp(X), None, sigma_e, beta,
         params=dict(extra),
         condition=cond,
         condition_name="exponential-weight-condition",
-        preset="cor55",
-        vacuous=_is_zero_const(cond),
     )
-    return inst
 
 
-def _preset_power_normalized(a=1.0, p="x+2", beta=5.0, domain=None, A=None, **extra):
+def _preset_power_normalized(a=1.0, p="x+2", beta=5.0, domain=Interval(0.0, 1.0), A=None, **extra):
     a = float(a)
     if a <= 0:
         raise InvalidParamsError(f"a must be positive, got {a!r}")
-    domain = _as_interval(domain, Interval(0.0, 1.0))
     _require_positive_domain(domain, "cor64")
     bind = {"a": a, "beta": float(beta), **extra}
     p_e = _parse_arg(p, bind)
     dp = differentiate(p_e)
     sigma_e = sub(const(float(beta)), mul(const(2.0 / a), sub(p_e, const(1.0))))
-    cond = (
-        const(a * float(beta))
-        + mul(const(1.0 - a), mul(mul(X, dp), log(X)))
-        + mul(const(a - 3.0), sub(p_e, const(1.0)))
+    cond = add(
+        add(const(a * float(beta)), mul(const(1.0 - a), mul(mul(X, dp), log(X)))),
+        mul(const(a - 3.0), sub(p_e, const(1.0))),
     )
     if A is not None:
         cond = sub(cond, _parse_arg(A, bind))
-    inst = make_instance(
+    return make_instance(
         domain, p_e, mul(const(1.0 / a), pow_(X, const(a))), None, sigma_e, beta,
         params={"a": a, **extra},
         condition=cond,
         condition_name="normalized-power-condition",
-        preset="cor64",
-        vacuous=_is_zero_const(cond),
     )
-    return inst
 
 
 def _preset_constant_exponent(
-    p=2.0, alpha=0.5, sigma=None, beta=1.0, domain=None, u=None, phi=None, **extra
+    p=2.0, alpha=0.5, sigma=None, beta=1.0, domain=Interval(0.0, math.inf),
+    u=None, phi=None, **extra
 ):
-    domain = _as_interval(domain, Interval(0.0, math.inf))
     bind = {"alpha": float(alpha), **extra}
     p_e = _parse_arg(p, bind)
     if p_e.kind != "const":
@@ -599,15 +576,12 @@ def _preset_constant_exponent(
     if sigma_e.kind != "const":
         raise InvalidParamsError("constp needs a constant sigma")
     cond = _power_condition(float(alpha), p_e, sigma_e) if u is None else None
-    inst = make_instance(
+    return make_instance(
         domain, p_e, u_e, phi, sigma_e, beta,
         params={"alpha": float(alpha), **extra},
         condition=cond,
         condition_name="power-weight-condition" if cond is not None else "",
-        preset="constp",
-        vacuous=cond is not None and _is_zero_const(cond),
     )
-    return inst
 
 
 _PRESETS = {

@@ -75,17 +75,6 @@ def _encode(value):
         return {str(k): _encode(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
-    return _encode(_coerce_plain(value))
-
-
-def _coerce_plain(value):
-    if hasattr(value, "item"):  # numpy scalars
-        return value.item()
-    if hasattr(value, "__dict__") or hasattr(value, "__dataclass_fields__"):
-        try:
-            return asdict(value)
-        except TypeError:
-            return vars(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

@@ -99,25 +99,12 @@ def hardy_cutoff(eps: float, log10_inner: float, log10_outer: float) -> TestFunc
             return 0.0
         return q * x ** (q - 1.0) * z + x ** q * dz
 
-    # the same branches with np.where, for points inside the support
-    def zeta_grid(xs):
+    # the value's branches with np.where, for points inside the support
+    def f_grid(xs):
         rising = _ramp((xs - 0.5 * inner) / (0.5 * inner))
         falling = _ramp((2.0 * outer - xs) / outer)
-        return np.where(xs < inner, rising, np.where(xs <= outer, 1.0, falling))
-
-    def zeta_prime_grid(xs):
-        rising = _ramp_prime((xs - 0.5 * inner) / (0.5 * inner)) / (0.5 * inner)
-        falling = -_ramp_prime((2.0 * outer - xs) / outer) / outer
-        return np.where(xs < inner, rising, np.where(xs <= outer, 0.0, falling))
-
-    def f_grid(xs):
-        z = zeta_grid(xs)
+        z = np.where(xs < inner, rising, np.where(xs <= outer, 1.0, falling))
         return np.where(z == 0.0, 0.0, xs ** q * z)
-
-    def df_grid(xs):
-        z, dz = zeta_grid(xs), zeta_prime_grid(xs)
-        value = q * xs ** (q - 1.0) * z + xs ** q * dz
-        return np.where((z == 0.0) & (dz == 0.0), 0.0, value)
 
     return TestFunction(
         "hardy-cutoff",
@@ -127,7 +114,6 @@ def hardy_cutoff(eps: float, log10_inner: float, log10_outer: float) -> TestFunc
         f,
         df,
         f_grid,
-        df_grid,
         split_points=(inner, outer),
     )
 
@@ -138,9 +124,15 @@ def _require_ratio_inputs(inst: HardyInstance, xi: TestFunction):
     _require_support_inside(xi, inst.domain)
 
 
-def _bounded_ratio(inst: HardyInstance, xi: TestFunction, tol: float) -> tuple[float, float]:
-    """The ratio and a bound on its quadrature error; NaN and an infinite
+def ratio(inst: HardyInstance, xi: TestFunction, tol: float = 1e-6) -> tuple[float, float]:
+    """(rhs_main + rhs_log) / lhs for one test function, whose support must
+    lie strictly inside the domain, and a bound on its quadrature error.
+
+    The instance is vacuous when its closed-form condition is the zero
+    constant, which is decided before any integral, or when the left side
+    cannot be distinguished from zero.  The ratio is NaN with an infinite
     bound when an integral is suspected divergent."""
+    _require_ratio_inputs(inst, xi)
     mu1, mu2 = build_measures(inst)
     rep = _run_hardy(inst, xi, mu1, mu2, tol, DEFAULT_TOL_ABS)
     lhs, rhs = rep.lhs, rep.rhs_main.value + rep.rhs_log.value
@@ -156,15 +148,6 @@ def _bounded_ratio(inst: HardyInstance, xi: TestFunction, tol: float) -> tuple[f
         lhs.value - lhs.error_bound
     )
     return value, error
-
-
-def ratio(inst: HardyInstance, xi: TestFunction, tol: float = 1e-6) -> float:
-    """(rhs_main + rhs_log) / lhs for one test function, whose support must
-    lie strictly inside the domain; the instance is vacuous when the left
-    side cannot be distinguished from zero.  The ratio is NaN when an
-    integral is suspected divergent."""
-    _require_ratio_inputs(inst, xi)
-    return _bounded_ratio(inst, xi, tol)[0]
 
 
 @dataclass
@@ -200,7 +183,7 @@ def scan(inst: HardyInstance, tol: float = 1e-6) -> ScanResult:
     # the widest support holds every other, so one check comes before any evaluation
     _require_ratio_inputs(inst, members[-1])
     trace = [
-        TraceEntry(w, dict(xi.params), *_bounded_ratio(inst, xi, tol))
+        TraceEntry(w, dict(xi.params), *ratio(inst, xi, tol))
         for w, xi in zip(WIDTHS, members)
     ]
     ratios = [entry.ratio for entry in trace]

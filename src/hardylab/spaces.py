@@ -55,8 +55,13 @@ class VariableExponent:
     domain: Interval
     p_minus: float
     p_plus: float
-    numerical: bool = True  # extrema sampled on a grid, not proven
     split_points: tuple = ()
+
+    @property
+    def numerical(self) -> bool:
+        """The extrema are sampled on a grid, not proven: the exponent is
+        not a constant."""
+        return self.p.kind != "const"
 
 
 def validate_exponent(p: Expr, domain: Interval) -> VariableExponent:
@@ -91,7 +96,7 @@ def validate_exponent(p: Expr, domain: Interval) -> VariableExponent:
         )
 
     if p.kind == "const":
-        vp = VariableExponent(p, domain, p.value, p.value, numerical=False)
+        vp = VariableExponent(p, domain, p.value, p.value)
         _probe_integrability(vp)
         return vp
 
@@ -112,7 +117,7 @@ def validate_exponent(p: Expr, domain: Interval) -> VariableExponent:
         raise ExponentRangeError(f"refined exponent {p_plus!r} looks unbounded")
 
     splits = tuple(singular_points(p, domain))
-    vp = VariableExponent(p, domain, p_minus, p_plus, numerical=True, split_points=splits)
+    vp = VariableExponent(p, domain, p_minus, p_plus, split_points=splits)
     _probe_integrability(vp)
     return vp
 

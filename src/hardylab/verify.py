@@ -52,8 +52,8 @@ PASS = "pass"
 FAIL = "fail"
 INDETERMINATE = "indeterminate"
 
-# Midpoint samples across a test function's support, for its validation and
-# for locating where it crosses 1.
+# Midpoint samples across a test function's support, for checking the
+# expression given to from_expr and for locating where a function crosses 1.
 TEST_GRID = 512
 
 
@@ -64,8 +64,10 @@ class TestFunction:
     ``edge_exponent`` is the decay rate at the support boundary; it controls
     which inequalities the function is admissible for.  The function
     evaluates to exactly 0 outside its support.  ``_f`` and ``_df`` are the
-    scalar forms that integrands call; ``_f_grid`` and ``_df_grid`` take a
-    float array of points inside the support, for sampling grids.
+    scalar forms that integrands call; ``_f_grid`` takes a float array of
+    points inside the support, for sampling grids.  The built-in families
+    are nonnegative and Lipschitz for every parameter their constructors
+    accept, so only :func:`from_expr` samples its function.
     """
 
     kind: str
@@ -75,7 +77,6 @@ class TestFunction:
     _f: callable = field(repr=False)
     _df: callable = field(repr=False)
     _f_grid: callable = field(repr=False)
-    _df_grid: callable = field(repr=False)
     split_points: tuple = ()
 
     def __call__(self, x: float) -> float:
@@ -90,36 +91,29 @@ class TestFunction:
 
     def grid(self, xs: np.ndarray) -> np.ndarray:
         """The function at every point of ``xs``, as one array."""
-        return self._on_support(self._f_grid, xs)
-
-    def derivative_grid(self, xs: np.ndarray) -> np.ndarray:
-        return self._on_support(self._df_grid, xs)
-
-    def _on_support(self, form, xs):
         out = np.zeros(len(xs))
         inside = (self.support.lo < xs) & (xs < self.support.hi)
-        out[inside] = form(xs[inside])
+        out[inside] = self._f_grid(xs[inside])
         return out
 
-    def validate(self):
-        if not self.support.finite:
-            raise InvalidTestFunctionError("support must be compact")
-        xs = self.support.midpoint_array(TEST_GRID)
-        vals = self.grid(xs)
-        if np.isnan(vals).any():
-            raise InvalidTestFunctionError(f"{self.kind} is undefined inside its support")
-        if (vals < 0).any():
-            raise InvalidTestFunctionError(f"{self.kind} takes negative values")
-        if not np.isfinite(self.derivative_grid(xs)).all():
-            raise InvalidTestFunctionError(f"{self.kind} has unbounded slope")
-        return self
+
+def _support(kind: str, m: float, r: float) -> Interval:
+    """(m - r, m + r), which must be bounded and nonempty: this rejects a
+    non-finite m or r, r <= 0, and ends that round together or overflow."""
+    lo, hi = m - r, m + r
+    if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidTestFunctionError(
+            f"{kind} needs a finite center and halfwidth > 0, got support ({lo}, {hi})"
+        )
+    return Interval(lo, hi)
 
 
 def power_bump(center: float, halfwidth: float, height: float = 1.0, k: float = 3.0) -> TestFunction:
     """height * (1 - ((x-center)/halfwidth)^2)_+^k, edge exponent k."""
-    if halfwidth <= 0 or height < 0 or k < 1:
-        raise InvalidTestFunctionError("power bump needs halfwidth > 0, height >= 0, k >= 1")
     m, r, c = float(center), float(halfwidth), float(height)
+    support = _support("power bump", m, r)
+    if not (0 <= c < math.inf and 1 <= k < math.inf):
+        raise InvalidTestFunctionError("power bump needs a finite height >= 0 and a finite k >= 1")
 
     def f(x):
         s = (x - m) / r
@@ -129,18 +123,21 @@ def power_bump(center: float, halfwidth: float, height: float = 1.0, k: float = 
         s = (x - m) / r
         return c * k * (1.0 - s * s) ** (k - 1.0) * (-2.0 * s / r)
 
-    # f and df are written with operators that act on arrays as they do on
-    # floats, so they serve the grids too
+    # f is written with operators that act on arrays as they do on floats,
+    # so it serves the grids too
     return TestFunction(
-        "power-bump", Interval(m - r, m + r), k,
+        "power-bump", support, k,
         {"center": m, "halfwidth": r, "height": c, "k": k},
-        f, df, f, df, split_points=(m,),
-    ).validate()
+        f, df, f, split_points=(m,),
+    )
 
 
 def tent(center: float, halfwidth: float, height: float = 1.0) -> TestFunction:
     """Piecewise-linear hat; edge exponent 1."""
     m, r, c = float(center), float(halfwidth), float(height)
+    support = _support("tent", m, r)
+    if not 0 <= c < math.inf:
+        raise InvalidTestFunctionError("tent needs a finite height >= 0")
 
     def f(x):
         return c * (1.0 - abs(x - m) / r)
@@ -148,14 +145,11 @@ def tent(center: float, halfwidth: float, height: float = 1.0) -> TestFunction:
     def df(x):
         return -c / r if x > m else (c / r if x < m else 0.0)
 
-    def df_grid(xs):
-        return np.where(xs > m, -c / r, np.where(xs < m, c / r, 0.0))
-
     return TestFunction(
-        "tent", Interval(m - r, m + r), 1.0,
+        "tent", support, 1.0,
         {"center": m, "halfwidth": r, "height": c},
-        f, df, f, df_grid, split_points=(m,),
-    ).validate()
+        f, df, f, split_points=(m,),
+    )
 
 
 def _ppoly_fn(pp):
@@ -190,13 +184,14 @@ def spline_bump(support: Interval, knot_values) -> TestFunction:
     same values.
     """
     values = np.asarray(knot_values, dtype=float)
+    if not (support.finite and np.isfinite(values).all()):
+        raise InvalidTestFunctionError("spline bump needs a finite support and finite knot values")
     n = len(values)
     xs = np.linspace(support.lo, support.hi, n + 2)
     ys = np.concatenate([[0.0], values, [0.0]])
     spline = CubicSpline(xs, ys, bc_type="clamped")
-    derivative = spline.derivative()
     s = _ppoly_fn(spline)
-    ds = _ppoly_fn(derivative)
+    ds = _ppoly_fn(spline.derivative())
 
     def f(x):
         v = s(x)
@@ -209,24 +204,36 @@ def spline_bump(support: Interval, knot_values) -> TestFunction:
         v = spline(xs)
         return v * v
 
-    def df_grid(xs):
-        return 2.0 * spline(xs) * derivative(xs)
-
     return TestFunction(
         "spline-bump", support, 4.0,
         {"support": [support.lo, support.hi], "knot_values": values.tolist()},
-        f, df, f_grid, df_grid, split_points=tuple(float(x) for x in xs[1:-1]),
-    ).validate()
+        f, df, f_grid, split_points=tuple(float(x) for x in xs[1:-1]),
+    )
 
 
 def from_expr(e: Expr, support: Interval, edge_exponent: float) -> TestFunction:
+    """A test function from an expression, with its derivative and split
+    points worked out symbolically.  The expression comes from outside the
+    program, so it is sampled at ``TEST_GRID`` midpoints of the support,
+    which must be compact: it must be defined and nonnegative there, with a
+    finite slope."""
+    if not support.finite:
+        raise InvalidTestFunctionError("support must be compact")
     de = differentiate(e)
+    xs = support.midpoint_array(TEST_GRID)
+    vals = eval_grid(e, xs)
+    if np.isnan(vals).any():
+        raise InvalidTestFunctionError("expression is undefined inside its support")
+    if (vals < 0).any():
+        raise InvalidTestFunctionError("expression takes negative values")
+    if not np.isfinite(eval_grid(de, xs)).all():
+        raise InvalidTestFunctionError("expression has unbounded slope")
     return TestFunction(
         "custom", support, float(edge_exponent),
         {"expr": to_string(e)},
-        compile_fn(e), compile_fn(de), partial(eval_grid, e), partial(eval_grid, de),
+        compile_fn(e), compile_fn(de), partial(eval_grid, e),
         split_points=tuple(singular_points(e, support)),
-    ).validate()
+    )
 
 
 @dataclass

@@ -155,7 +155,7 @@ def test_scan_writes_one_trace_row_per_width(tmp_path, capsys):
 
 def test_indeterminate_scan_exits_3(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
-    monkeypatch.setattr(sharpness, "_bounded_ratio", lambda *a: (math.nan, math.inf))
+    monkeypatch.setattr(sharpness, "ratio", lambda *a: (math.nan, math.inf))
     cfg = _write_config(tmp_path, f"[instance]\npreset = constp\n[output]\ndir = {out}\n")
     assert main(["scan", "--config", cfg]) == EXIT_INDETERMINATE
     assert "(indeterminate)" in capsys.readouterr().out

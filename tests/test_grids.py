@@ -79,9 +79,9 @@ def _scalar_values(e, xs):
     return np.array(out)
 
 
-def _assert_close(got, want, ulps, floor=0.0):
+def _assert_close(got, want, ulps):
     """Equal NaN and inf positions, finite values within ``ulps`` units in
-    the last place of ``max(|want|, floor)``."""
+    the last place of ``want``."""
     assert np.array_equal(np.isnan(got), np.isnan(want))
     ok = ~np.isnan(want)
     got, want = got[ok], want[ok]
@@ -89,7 +89,7 @@ def _assert_close(got, want, ulps, floor=0.0):
     assert np.array_equal(got[np.isinf(want)], want[np.isinf(want)])
     finite = np.isfinite(want)
     gap = np.abs(got[finite] - want[finite])
-    assert np.all(gap <= ulps * np.spacing(np.maximum(np.abs(want[finite]), floor)))
+    assert np.all(gap <= ulps * np.spacing(np.abs(want[finite])))
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +217,6 @@ def test_grid_forms_match_scalar_forms(build, ulps):
     xs = np.concatenate([tf.support.midpoint_array(997), [lo, hi, lo - 1.0, hi + 1.0],
                          list(tf.split_points)])
     _assert_close(tf.grid(xs), np.array([tf(float(x)) for x in xs]), ulps)
-    slopes = np.array([tf.derivative(float(x)) for x in xs])
-    # a slope that sums rounded powers may cancel: its error is measured
-    # against the largest slope
-    _assert_close(tf.derivative_grid(xs), slopes, ulps, floor=np.abs(slopes).max())
 
 
 # ---------------------------------------------------------------------------

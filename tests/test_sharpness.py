@@ -26,14 +26,14 @@ def classical():
 
 def test_ratio_at_least_one(classical):
     xi = power_bump(1.0, 0.8, 1.0, 3.0)
-    r = ratio(classical, xi)
+    r, _ = ratio(classical, xi)
     assert r >= 1.0 - 1e-6
 
 
 def test_ratio_invariant_under_scaling(classical):
     # constant exponent: both sides scale by c^p, the ratio is unchanged
-    r1 = ratio(classical, power_bump(1.0, 0.8, 1.0, 3.0))
-    r2 = ratio(classical, power_bump(1.0, 0.8, 2.0, 3.0))
+    r1, _ = ratio(classical, power_bump(1.0, 0.8, 1.0, 3.0))
+    r2, _ = ratio(classical, power_bump(1.0, 0.8, 2.0, 3.0))
     assert r2 == pytest.approx(r1, rel=1e-9)
 
 
@@ -41,6 +41,16 @@ def test_ratio_vacuous_instance():
     degenerate = preset("cor53", alpha=1.0, p="2", sigma="0", beta=1.0)
     with pytest.raises(VacuousInstanceError):
         ratio(degenerate, power_bump(0.5, 0.3, 1.0, 3.0))
+
+
+def test_zero_condition_is_vacuous_before_any_integral(monkeypatch):
+    inst = preset("cor51", sigma="0")
+    assert inst.vacuous and inst.describe()["vacuous"]
+    calls = []
+    monkeypatch.setattr(sharpness, "_run_hardy", lambda *a: calls.append(a))
+    with pytest.raises(VacuousInstanceError):
+        ratio(inst, power_bump(0.0, 0.5))
+    assert calls == []
 
 
 def test_cutoff_family_shape():
@@ -132,7 +142,8 @@ def test_divergent_integral_makes_the_scan_indeterminate(classical, monkeypatch)
     one = QuadratureResult(1.0, 0.0, 1, STATUS_CONVERGED)
     report = VerificationReport(nan, one, one, math.nan, "indeterminate")
     monkeypatch.setattr(sharpness, "_run_hardy", lambda *a: report)
-    assert math.isnan(ratio(classical, hardy_cutoff(1e-8, -2.0, 2.0)))
+    value, error = ratio(classical, hardy_cutoff(1e-8, -2.0, 2.0))
+    assert math.isnan(value) and error == math.inf
     res = scan(classical)
     assert res.verdict == "indeterminate"
     assert all(math.isnan(e.ratio) and e.error_bound == math.inf for e in res.trace)

@@ -40,3 +40,14 @@ def test_traced_scan_info_reads_the_trace(tracing):
     assert tracing._info("sharpness.scan", (), result) == [len(WIDTHS), result.best_ratio]
     assert result.best_ratio <= 1.10
     assert result.verdict == "sharp"
+
+
+def test_traced_scan_records_one_ratio_span_per_width(tracing):
+    # the sharpness.ratio_calls and ratio_s metrics count these spans
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.run_op(0, lambda: scan(preset("constp")))
+    finally:
+        tracer.uninstall()
+    assert sum(1 for s in tracer.spans if s.name == "sharpness.ratio") == len(WIDTHS)

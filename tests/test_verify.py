@@ -341,7 +341,8 @@ def test_retried_case_counts_the_evaluations_of_both_passes(distance_instance, m
 def test_sharpness_ratio_makes_one_pass(distance_instance, monkeypatch):
     fake = _Passes((2.0, 3.0), 2)
     monkeypatch.setattr(verify, "modular", fake)
-    assert sharpness.ratio(distance_instance, power_bump(0.0, 0.5), tol=1e-6) == 1.5
+    value, _ = sharpness.ratio(distance_instance, power_bump(0.0, 0.5), tol=1e-6)
+    assert value == 1.5
     assert fake.passes() == [(1e-6, DEFAULT_TOL_ABS)]
 
 
@@ -375,6 +376,35 @@ def test_from_expr_values_and_params():
 def test_from_expr_rejects_negative_expression():
     with pytest.raises(InvalidTestFunctionError):
         from_expr(parse("x - 0.5"), Interval(0, 1), 1.0)
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("log(x - 0.5)", "undefined"),
+    ("exp(1000*x)", "unbounded slope"),
+])
+def test_from_expr_samples_the_expression(text, reason):
+    with pytest.raises(InvalidTestFunctionError, match=reason):
+        from_expr(parse(text), Interval(0, 1), 1.0)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: power_bump(0.0, 1.0, math.inf), id="bump-inf-height"),
+    pytest.param(lambda: power_bump(0.0, 1.0, 1.0, math.inf), id="bump-inf-k"),
+    pytest.param(lambda: power_bump(math.nan, 1.0), id="bump-nan-center"),
+    pytest.param(lambda: power_bump(1e308, 1e308), id="bump-overflowing-support"),
+    pytest.param(lambda: tent(0.0, 1.0, -1.0), id="tent-negative-height"),
+    pytest.param(lambda: tent(0.0, 1.0, math.inf), id="tent-inf-height"),
+    pytest.param(lambda: tent(0.0, 0.0), id="tent-zero-halfwidth"),
+    pytest.param(lambda: tent(0.0, -1.0), id="tent-negative-halfwidth"),
+    pytest.param(lambda: tent(1e20, 1.0), id="tent-halfwidth-below-spacing"),
+    pytest.param(lambda: spline_bump(Interval(0, 1), [0.5, math.nan]), id="spline-nan-knot"),
+    pytest.param(lambda: spline_bump(Interval(0, 1), [math.inf, 0.5]), id="spline-inf-knot"),
+    pytest.param(lambda: spline_bump(Interval(0, math.inf), [0.5, 0.9]), id="spline-inf-support"),
+])
+def test_invalid_parameters_are_rejected(build):
+    # each family is nonnegative and Lipschitz for every parameter it accepts
+    with pytest.raises(InvalidTestFunctionError):
+        build()
 
 
 def test_from_expr_hardy_passes(distance_instance):
