@@ -12,7 +12,7 @@ Configuration comes from an INI file with sections ``instance``,
 Unknown sections or keys, out-of-range values and malformed files are
 config errors, found by :func:`load_config` before any instance is built
 (``[instance]`` keys that nothing reads and values that do not parse, by
-:func:`build_instance`); only config errors exit 2.  Only ``[instance]``
+``instance.preset``); only config errors exit 2.  Only ``[instance]``
 keys read from a file keep their case.  See ``docs/config.md`` for every
 key and its range.
 """
@@ -36,15 +36,13 @@ from .errors import (
     ParseError,
     VacuousInstanceError,
 )
-from .expr import identifiers, interval_from_text
 from .instance import (
     HardyInstance,
     check_admissibility,
     check_nonneg,  # not called here; perfbench/tracing.py wraps cli.check_nonneg
-    make_instance,
+    make_instance,  # not called here; perfbench/tracing.py wraps cli.make_instance
     preset,
     preset_names,
-    preset_parameters,
 )
 from .report import emit_csv, emit_json, make_record
 from .sharpness import scan
@@ -55,24 +53,40 @@ EXIT_MATH = 1
 EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
 
-SECTIONS = ("instance", "verification", "scan", "output")
 
-DEFAULTS = {
-    "instance": {},
+def _is_count(text: str) -> bool:
+    try:
+        return int(text) >= 0
+    except ValueError:
+        return False
+
+
+def _is_positive(text: str) -> bool:
+    try:
+        return 0.0 < float(text) < math.inf
+    except ValueError:
+        return False
+
+
+_WHICH = (*BATCH_KINDS, "both")
+
+# Every key outside [instance]: (default or None for unset, the test its
+# value must pass, what that test asks for).
+KEYS = {
     "verification": {
-        "family": "mixed",
-        "count": "50",
-        "seed": "7",
-        "which": "both",
-        "tol": "1e-8",
+        "family": ("mixed", lambda text: text in FAMILIES, f"be one of {FAMILIES}"),
+        "count": ("50", _is_count, "be an integer >= 0"),
+        "seed": ("7", _is_count, "be an integer >= 0"),
+        "which": ("both", lambda text: text in _WHICH, f"be one of {_WHICH}"),
+        "tol": ("1e-8", _is_positive, "be finite and positive"),
     },
-    "scan": {"tol": "1e-6"},
-    "output": {"dir": "hardylab-out"},
+    "scan": {
+        "tol": ("1e-6", _is_positive, "be finite and positive"),
+        "max_ratio": (None, _is_positive, "be finite and positive"),
+    },
+    "output": {"dir": ("hardylab-out", lambda text: True, "be a directory")},
 }
-
-_EXPR_KEYS = {"p", "u", "phi", "sigma", "A"}
-# the keys of ``preset = raw``
-_RAW_KEYS = ("domain", "p", "u", "phi", "sigma", "beta")
+SECTIONS = ("instance", *KEYS)
 
 SCENARIOS = {
     "cor51": {
@@ -144,7 +158,9 @@ SCENARIOS = {
 
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
     """Layered config: defaults < file < HARDYLAB_* environment < CLI flags."""
-    cfg = {section: dict(values) for section, values in DEFAULTS.items()}
+    cfg = {"instance": {}}
+    for section, keys in KEYS.items():
+        cfg[section] = {key: spec[0] for key, spec in keys.items() if spec[0] is not None}
     if path is not None:
         parser = configparser.ConfigParser()
         parser.optionxform = str
@@ -173,101 +189,30 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
         cfg[section][rest[len(section) + 1:]] = value
     for section, values in (overrides or {}).items():
         cfg[section].update({k: v for k, v in values.items() if v is not None})
-    for section in ("verification", "scan", "output"):
-        for key in cfg[section]:
-            if key not in DEFAULTS[section] and (section, key) != ("scan", "max_ratio"):
+    for section, keys in KEYS.items():
+        for key, value in cfg[section].items():
+            if key not in keys:
                 raise InvalidParamsError(f"unknown key {key!r} in [{section}]")
-    for section, key in (("verification", "tol"), ("scan", "tol"), ("scan", "max_ratio")):
-        if key not in cfg[section]:
-            continue  # max_ratio is optional
-        value = _maybe_number(cfg[section][key])
-        if not (isinstance(value, float) and 0.0 < value < math.inf):
-            raise InvalidParamsError(
-                f"[{section}] {key} must be finite and positive, got {cfg[section][key]!r}"
-            )
-    for key, allowed in (("family", FAMILIES), ("which", (*BATCH_KINDS, "both"))):
-        if cfg["verification"][key] not in allowed:
-            raise InvalidParamsError(
-                f"[verification] {key} must be one of {allowed}, got {cfg['verification'][key]!r}"
-            )
-    for key in ("count", "seed"):
-        try:
-            ok = int(cfg["verification"][key]) >= 0
-        except ValueError:
-            ok = False
-        if not ok:
-            raise InvalidParamsError(
-                f"[verification] {key} must be an integer >= 0, got {cfg['verification'][key]!r}"
-            )
+            _, test, asks = keys[key]
+            if not test(value):
+                raise InvalidParamsError(f"[{section}] {key} must {asks}, got {value!r}")
     return cfg
 
 
 def build_instance(cfg: dict) -> HardyInstance:
-    """The configured instance.  A key that nothing reads, or a value that is
-    not what its key needs (a domain that is not a nonempty ``lo, hi``
-    interval, a non-numeric ``beta`` or ``M``), raises InvalidParamsError."""
+    """The configured instance, from ``preset(name, **keys)`` with the
+    ``[instance]`` values as text.  A missing ``preset``, a key that nothing
+    reads, or a value that is not what its key needs (a domain that is not a
+    nonempty ``lo, hi`` interval, a non-numeric ``beta`` or ``M``), raises
+    InvalidParamsError."""
     section = dict(cfg.get("instance", {}))
-    if not section:
-        raise InvalidParamsError("config has no [instance] section")
     name = section.pop("preset", None)
     if name is None:
         raise InvalidParamsError("[instance] must set 'preset' (a preset name or 'raw')")
-    _reject_unused_keys(name, section)
     try:
-        if name == "raw":
-            return _build_raw_instance(section)
-        kwargs = {}
-        for key, value in section.items():
-            if key == "domain":
-                kwargs[key] = interval_from_text(value)
-            elif key in _EXPR_KEYS:
-                kwargs[key] = value
-            else:
-                kwargs[key] = _maybe_number(value)
-        return preset(name, **kwargs)
-    except ValueError as err:
-        raise InvalidParamsError(f"bad [instance] value: {err}") from err
-
-
-def _reject_unused_keys(name: str, section: dict):
-    """Each ``[instance]`` key must be a parameter of the preset, or a name
-    that one of the expression keys reads (``d`` in ``p = 1+d/(abs(x)+1)``)."""
-    allowed = set(_RAW_KEYS if name == "raw" else preset_parameters(name))
-    for key in _EXPR_KEYS & section.keys():
-        allowed |= identifiers(section[key])
-    unknown = [key for key in section if key not in allowed]
-    if unknown:
-        raise InvalidParamsError(
-            f"[instance] key {unknown[0]!r} is not a parameter of preset {name!r}, "
-            "and no expression reads it"
-        )
-
-
-def _maybe_number(text):
-    try:
-        return float(text)
-    except (TypeError, ValueError):
-        return text
-
-
-def _build_raw_instance(section: dict) -> HardyInstance:
-    missing = [k for k in ("p", "u", "sigma", "beta", "domain") if k not in section]
-    if missing:
-        raise InvalidParamsError(f"raw instance is missing keys {missing}")
-    domain = interval_from_text(section.pop("domain"))
-    p = section.pop("p")
-    u = section.pop("u")
-    sigma = section.pop("sigma")
-    beta = float(section.pop("beta"))
-    phi = section.pop("phi", None)
-    if phi is not None and phi.strip().lower() == "auto":
-        phi = None
-    params = {k: float(v) for k, v in section.items()}
-    return make_instance(domain, p, u, phi, sigma, beta, params=params)
-
-
-def _out_dir(cfg) -> Path:
-    return Path(cfg["output"]["dir"])
+        return preset(name, **section)
+    except (ValueError, InvalidParamsError) as err:
+        raise InvalidParamsError(f"[instance] {err}") from err
 
 
 def _write_atomic(path: Path, data: bytes):
@@ -281,6 +226,11 @@ def _write_atomic(path: Path, data: bytes):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_record(cfg: dict, label: str, operation: str, inst: HardyInstance, payload: dict):
+    record = make_record(operation, inst.describe(), payload, cfg)
+    _write_atomic(Path(cfg["output"]["dir"]) / f"{label}.json", emit_json(record))
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +277,7 @@ def cmd_check(cfg: dict, inst: HardyInstance, label: str = "check") -> int:
                 "skipped": cond.skipped,
             }
         )
-    record = make_record("check", inst.describe(), payload, cfg)
-    _write_atomic(_out_dir(cfg) / f"{label}.json", emit_json(record))
+    _write_record(cfg, label, "check", inst, payload)
     return _admissibility_exit(report)
 
 
@@ -363,17 +312,14 @@ def cmd_verify(cfg: dict, inst: HardyInstance, label: str = "verify") -> int:
     except InadmissibleInstanceError as err:
         print(f"verify: {err}")
         return _admissibility_exit(check_admissibility(inst))
+    except VacuousInstanceError as err:
+        print(f"verify: vacuous instance: {err}")
+        return EXIT_MATH
     payload["totals"] = totals
-    record = make_record("verify", inst.describe(), payload, cfg)
-    _write_atomic(_out_dir(cfg) / f"{label}.json", emit_json(record))
+    _write_record(cfg, label, "verify", inst, payload)
     if witnesses:
-        replay = make_record(
-            "witnesses",
-            inst.describe(),
-            {"seed": seed, "family": family, "witnesses": witnesses},
-            cfg,
-        )
-        _write_atomic(_out_dir(cfg) / f"{label}-witnesses.json", emit_json(replay))
+        replay = {"seed": seed, "family": family, "witnesses": witnesses}
+        _write_record(cfg, f"{label}-witnesses", "witnesses", inst, replay)
     total_cases = sum(totals.values())
     if totals[FAIL] > 0:
         return EXIT_MATH
@@ -399,15 +345,14 @@ def cmd_scan(cfg: dict, inst: HardyInstance, label: str = "scan") -> int:
         "limit_error": result.limit_error,
         "verdict": result.verdict,
     }
-    record = make_record("scan", inst.describe(), payload, cfg)
-    _write_atomic(_out_dir(cfg) / f"{label}.json", emit_json(record))
+    _write_record(cfg, label, "scan", inst, payload)
     names = list(result.best_params)
     rows = [
         [entry.width, *[entry.params[n] for n in names], entry.ratio, entry.error_bound]
         for entry in result.trace
     ]
     header = ["width", *names, "ratio", "error_bound"]
-    _write_atomic(_out_dir(cfg) / f"{label}-trace.csv", emit_csv(rows, header))
+    _write_atomic(Path(cfg["output"]["dir"]) / f"{label}-trace.csv", emit_csv(rows, header))
     if result.verdict == INDETERMINATE:
         return EXIT_INDETERMINATE
     max_ratio = s.get("max_ratio")
@@ -498,8 +443,6 @@ def main(argv=None) -> int:
         if args.command == "list-presets":
             return cmd_list_presets(cfg)
         commands = {"check": cmd_check, "verify": cmd_verify, "scan": cmd_scan}
-        if args.command not in commands:
-            return EXIT_USAGE
         inst = _instance_or_none(cfg, args.command)
         if inst is None:
             return EXIT_MATH

@@ -11,7 +11,7 @@ Presets wire the library's built-in weight families (distance-to-boundary,
 power, reciprocal-power, exponential, and the constant-exponent reduction)
 with ``Phi`` chosen as the exact negative divergence term where ``u`` is
 smooth, and attach the closed-form expression whose nonnegativity is that
-family's admissibility condition.
+family's admissibility condition; ``raw`` takes all six as given.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ from .expr import (
     div,
     eval_grid,
     exp,
+    identifiers,
+    interval_from_text,
     log,
     mul,
     neg,
@@ -183,16 +185,19 @@ def make_instance(
 ) -> HardyInstance:
     """Build an instance from raw expressions; ``phi=None`` selects the exact
     negative divergence term computed symbolically from ``u`` and ``p``."""
-    params = params or {}
-    p = parse(p, params) if isinstance(p, str) else p
-    u = parse(u, params) if isinstance(u, str) else u
-    sigma = parse(sigma, params) if isinstance(sigma, str) else sigma
+    params = {k: float(v) for k, v in (params or {}).items()}
+    p, u, sigma = (_parse_arg(e, params) for e in (p, u, sigma))
     vp = validate_exponent(p, domain)
-    if phi is None:
-        phi = negative_divergence_expr(u, p)
-    elif isinstance(phi, str):
-        phi = parse(phi, params)
+    phi = negative_divergence_expr(u, p) if phi is None else _parse_arg(phi, params)
     return HardyInstance(domain, vp, u, phi, sigma, float(beta), params=params, **kwargs)
+
+
+def _parse_arg(value, params=None):
+    if isinstance(value, Expr):
+        return value
+    if isinstance(value, str):
+        return parse(value, params)
+    return const(float(value))
 
 
 def negative_divergence_expr(u: Expr, p: Expr) -> Expr:
@@ -418,17 +423,38 @@ def constant_exponent_measures(inst: HardyInstance) -> tuple[WeightedMeasure, We
 # presets
 
 
+_EXPR_KEYS = {"p", "u", "phi", "sigma", "A"}  # keys whose text is an expression of x
+
+
 def _require_positive_domain(domain: Interval, name: str):
     if domain.lo < 0:
         raise InvalidParamsError(f"{name} needs a domain inside the positive half-line")
 
 
-def preset(name: str, **params) -> HardyInstance:
+def preset(name: str, /, **params) -> HardyInstance:
     """Construct a named instance family with its admissibility condition
-    attached.  See ``docs/config.md`` for the parameter list of each preset.
+    attached; see ``docs/config.md`` for the parameters of each preset.  Any
+    other key must be a name that an expression given as text reads (``d`` in
+    ``p = "1+d/(abs(x)+1)"``).  A text ``domain`` is parsed as ``"lo, hi"``.
     """
     if name not in _PRESETS:
         raise InvalidParamsError(f"unknown preset {name!r}")
+    fields = inspect.signature(_PRESETS[name]).parameters.values()
+    read = {f.name for f in fields if f.kind is not f.VAR_KEYWORD}
+    missing = [f.name for f in fields if f.default is f.empty and f.name in read - params.keys()]
+    if missing:
+        raise InvalidParamsError(f"preset {name!r} is missing keys {missing}")
+    for key in _EXPR_KEYS & read & params.keys():
+        if isinstance(params[key], str):
+            read |= identifiers(params[key])
+    unread = [key for key in params if key not in read]
+    if unread:
+        raise InvalidParamsError(
+            f"key {unread[0]!r} is not a parameter of preset {name!r}, "
+            "and no expression reads it"
+        )
+    if isinstance(params.get("domain"), str):
+        params["domain"] = interval_from_text(params["domain"])
     inst = _PRESETS[name](**params)
     inst.preset = name
     return inst
@@ -436,23 +462,6 @@ def preset(name: str, **params) -> HardyInstance:
 
 def preset_names() -> list[str]:
     return list(_PRESETS)
-
-
-def preset_parameters(name: str) -> list[str]:
-    """The parameters a preset takes by name; any other keyword argument is
-    bound as a named parameter inside its expressions."""
-    if name not in _PRESETS:
-        raise InvalidParamsError(f"unknown preset {name!r}")
-    params = inspect.signature(_PRESETS[name]).parameters.values()
-    return [p.name for p in params if p.kind is not inspect.Parameter.VAR_KEYWORD]
-
-
-def _parse_arg(value, params=None):
-    if isinstance(value, Expr):
-        return value
-    if isinstance(value, str):
-        return parse(value, params)
-    return const(float(value))
 
 
 def _preset_distance(M=1.0, p="2", sigma="1", beta=2.0, domain=None, **extra):
@@ -556,18 +565,13 @@ def _preset_power_normalized(a=1.0, p="x+2", beta=5.0, domain=Interval(0.0, 1.0)
 
 
 def _preset_constant_exponent(
-    p=2.0, alpha=0.5, sigma=None, beta=1.0, domain=Interval(0.0, math.inf),
-    u=None, phi=None, **extra
+    p=2.0, alpha=0.5, sigma=None, beta=1.0, domain=Interval(0.0, math.inf), **extra
 ):
     bind = {"alpha": float(alpha), **extra}
     p_e = _parse_arg(p, bind)
     if p_e.kind != "const":
         raise InvalidParamsError("constp needs a constant exponent")
-    if u is None:
-        _require_positive_domain(domain, "constp")
-        u_e = pow_(X, const(float(alpha)))
-    else:
-        u_e = _parse_arg(u, bind)
+    _require_positive_domain(domain, "constp")
     if sigma is None:
         # the choice that maximizes the induced weight constant for u = x^alpha
         sigma_e = const(1.0 - 1.0 / (2.0 * float(alpha)))
@@ -575,13 +579,19 @@ def _preset_constant_exponent(
         sigma_e = _parse_arg(sigma, bind)
     if sigma_e.kind != "const":
         raise InvalidParamsError("constp needs a constant sigma")
-    cond = _power_condition(float(alpha), p_e, sigma_e) if u is None else None
     return make_instance(
-        domain, p_e, u_e, phi, sigma_e, beta,
+        domain, p_e, pow_(X, const(float(alpha))), None, sigma_e, beta,
         params={"alpha": float(alpha), **extra},
-        condition=cond,
-        condition_name="power-weight-condition" if cond is not None else "",
+        condition=_power_condition(float(alpha), p_e, sigma_e),
+        condition_name="power-weight-condition",
     )
+
+
+def _preset_raw(domain, p, u, sigma, beta, phi="auto", **extra):
+    # phi = "auto" is the exact negative divergence term of u and p
+    if isinstance(phi, str) and phi.strip().lower() == "auto":
+        phi = None
+    return make_instance(domain, p, u, phi, sigma, beta, params=extra)
 
 
 _PRESETS = {
@@ -591,4 +601,5 @@ _PRESETS = {
     "cor55": _preset_exponential,
     "cor64": _preset_power_normalized,
     "constp": _preset_constant_exponent,
+    "raw": _preset_raw,
 }

@@ -22,6 +22,7 @@ from .errors import (
     InadmissibleInstanceError,
     InvalidParamsError,
     InvalidTestFunctionError,
+    VacuousInstanceError,
 )
 from .expr import (
     Expr,
@@ -508,7 +509,8 @@ def batch_verify(
     """Run ``count`` seeded verifications of one inequality over a family.
 
     Refuses to run unless every condition of the instance's admissibility
-    report, the one ``hardylab check`` prints, holds; the verdict counts,
+    report, the one ``hardylab check`` prints, holds, and refuses a vacuous
+    instance (a left weight that vanishes identically); the verdict counts,
     the worst margin, and replayable witnesses for every non-pass case are
     collected.  A case whose integrands leave the real domain is
     indeterminate with a NaN margin, and its witness carries the error."""
@@ -521,6 +523,8 @@ def batch_verify(
     bad = [c.name for c in check_admissibility(inst).conditions if not c.holds]
     if bad:
         raise InadmissibleInstanceError(f"instance fails {bad}; run check_admissibility for details")
+    if inst.vacuous:
+        raise VacuousInstanceError("instance has an identically-zero left weight")
     rng = np.random.default_rng(seed)
     if which == "caccioppoli":
         # the gradient-side integrand needs edge exponent above p_plus - 1,

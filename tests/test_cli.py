@@ -542,3 +542,55 @@ def test_internal_error_is_not_a_usage_error(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path, "[instance]\npreset = cor51\n")
     with pytest.raises(KeyError):
         main(["check", "--config", cfg])
+
+
+@pytest.mark.parametrize("body, key", [
+    ("preset = cor51\nname = 3\n", "name"),  # not taken for preset()'s own argument
+    ("preset = constp\nu = x\n", "u"),
+    ("preset = constp\nphi = 0\n", "phi"),
+])
+def test_instance_key_no_preset_parameter_takes_exits_2(tmp_path, capsys, body, key):
+    cfg = _write_config(tmp_path, f"[instance]\n{body}[output]\ndir = {tmp_path / 'out'}\n")
+    assert main(["check", "--config", cfg]) == EXIT_USAGE
+    assert f"key {key!r} is not a parameter" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_raw_instance_without_domain_exits_2(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path, "[instance]\npreset = raw\np = 2\nu = x\nsigma = 0\nbeta = 1\n"
+    )
+    assert main(["check", "--config", cfg]) == EXIT_USAGE
+    assert "preset 'raw' is missing keys ['domain']" in capsys.readouterr().err
+
+
+def test_raw_instance_record_names_its_preset(tmp_path):
+    out = tmp_path / "out"
+    cfg = _write_config(
+        tmp_path,
+        "[instance]\npreset = raw\np = 2\nu = k*x\nsigma = 0\nbeta = 1\ndomain = 0, 1\nk = 2\n"
+        f"[output]\ndir = {out}\n",
+    )
+    assert main(["check", "--config", cfg]) == EXIT_OK
+    record = parse_json((out / "check.json").read_bytes())
+    assert record.instance["preset"] == "raw"
+    assert record.instance["params"] == {"k": 2.0}
+
+
+def test_list_presets_includes_raw(capsys):
+    assert main(["list-presets"]) == EXIT_OK
+    presets = capsys.readouterr().out.split("scenarios:")[0].split()
+    assert presets == ["presets:", "cor51", "cor53", "cor54", "cor55", "cor64", "constp", "raw"]
+
+
+def test_verify_refuses_a_vacuous_instance(tmp_path, capsys):
+    # sigma = 0 makes the left weight of cor51 vanish identically: every
+    # case would pass, so verify exits 1 as scan does and writes nothing
+    out = tmp_path / "out"
+    cfg = _write_config(
+        tmp_path,
+        f"[instance]\npreset = cor51\nsigma = 0\n[verification]\ncount = 5\n[output]\ndir = {out}\n",
+    )
+    assert main(["verify", "--config", cfg]) == EXIT_MATH
+    assert capsys.readouterr().out.startswith("verify: vacuous instance:")
+    assert not (out / "verify.json").exists()

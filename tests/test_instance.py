@@ -317,6 +317,18 @@ def test_beta_gap_counts_nan_sigma_as_skipped():
 
 
 def test_preset_names_are_the_preset_table():
-    assert preset_names() == ["cor51", "cor53", "cor54", "cor55", "cor64", "constp"]
+    assert preset_names() == ["cor51", "cor53", "cor54", "cor55", "cor64", "constp", "raw"]
+    raw_keys = dict(domain="0, 1", p="2", u="x", sigma="0", beta="1")
     for name in preset_names():
-        assert preset(name).preset == name
+        assert preset(name, **(raw_keys if name == "raw" else {})).preset == name
+
+
+def test_preset_rejects_a_key_nothing_reads():
+    # the misspelt beta would otherwise be recorded as a parameter, beta kept at 2
+    with pytest.raises(InvalidParamsError, match="'bta'"):
+        preset("cor51", bta=3)
+
+
+def test_raw_preset_names_its_missing_keys():
+    with pytest.raises(InvalidParamsError, match=r"\['domain', 'p', 'u', 'sigma', 'beta'\]"):
+        preset("raw")

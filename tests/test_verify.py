@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from hardylab import quadrature, sharpness, verify
-from hardylab.errors import EvalDomainError, InadmissibleInstanceError, InvalidTestFunctionError
+from hardylab.errors import (
+    EvalDomainError,
+    InadmissibleInstanceError,
+    InvalidTestFunctionError,
+    VacuousInstanceError,
+)
 from hardylab.expr import Interval, parse
 from hardylab.instance import build_measures, make_instance, preset
 from hardylab.quadrature import (
@@ -412,3 +417,30 @@ def test_from_expr_hardy_passes(distance_instance):
     rep = verify_hardy(distance_instance, xi)
     assert rep.verdict == "pass"
     assert rep.lhs.value > 0.0
+
+
+def test_hardy_fail_verdict_on_a_broken_supersolution():
+    # phi = 50 breaks the PDI -(|u'|^(p-2) u')' >= phi for u = x (the left
+    # side is 0), so the theorem does not apply: this checks the verdict
+    # arithmetic, not a counterexample to the inequality
+    inst = preset("raw", domain="0, 1", p="2", u="x", phi="50", sigma="0", beta="1")
+    rep = verify_hardy(inst, power_bump(0.3, 0.2, 0.5, 3.0))
+    assert rep.verdict == "fail"
+    assert rep.margin == pytest.approx(-2.54, abs=5e-3)
+    assert rep.margin < -rep.combined_error
+
+
+def test_suspected_divergence_is_indeterminate_whatever_the_margin():
+    lhs = QuadratureResult(1.0, 1e-12, 100, STATUS_DIVERGENT)
+    rhs = QuadratureResult(1e6, 1e-12, 100, STATUS_CONVERGED)
+    zero = QuadratureResult(0.0, 0.0, 0, STATUS_CONVERGED)
+    assert verify._verdict(lhs, rhs, zero) == (1e6 - 1.0, "indeterminate")
+
+
+def test_batch_refuses_a_vacuous_instance_before_drawing(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(verify, "random_test_function", lambda *a: drawn.append(a))
+    inst = preset("cor51", sigma="0")
+    with pytest.raises(VacuousInstanceError):
+        batch_verify(inst, "mixed", 5, 7)
+    assert drawn == []
