@@ -80,10 +80,7 @@ KEYS = {
         "which": ("both", lambda text: text in _WHICH, f"be one of {_WHICH}"),
         "tol": ("1e-8", _is_positive, "be finite and positive"),
     },
-    "scan": {
-        "tol": ("1e-6", _is_positive, "be finite and positive"),
-        "max_ratio": (None, _is_positive, "be finite and positive"),
-    },
+    "scan": {"max_ratio": (None, _is_positive, "be finite and positive")},
     "output": {"dir": ("hardylab-out", lambda text: True, "be a directory")},
 }
 SECTIONS = ("instance", *KEYS)
@@ -299,11 +296,14 @@ def cmd_verify(cfg: dict, inst: HardyInstance, label: str = "verify") -> int:
             for key, value in summary.counts.items():
                 totals[key] += value
             payload["batches"][kind] = {
+                "family": summary.family,
                 "counts": summary.counts,
                 "worst_margin": summary.worst_margin,
                 "evaluations": summary.evaluations,
             }
-            witnesses.extend({"inequality": kind, **w} for w in summary.witnesses)
+            witnesses.extend(
+                {"inequality": kind, "family": summary.family, **w} for w in summary.witnesses
+            )
             print(
                 f"{kind}: {summary.counts[PASS]} pass, {summary.counts[FAIL]} fail, "
                 f"{summary.counts[INDETERMINATE]} indeterminate "
@@ -318,7 +318,7 @@ def cmd_verify(cfg: dict, inst: HardyInstance, label: str = "verify") -> int:
     payload["totals"] = totals
     _write_record(cfg, label, "verify", inst, payload)
     if witnesses:
-        replay = {"seed": seed, "family": family, "witnesses": witnesses}
+        replay = {"seed": seed, "witnesses": witnesses}
         _write_record(cfg, f"{label}-witnesses", "witnesses", inst, replay)
     total_cases = sum(totals.values())
     if totals[FAIL] > 0:
@@ -329,33 +329,26 @@ def cmd_verify(cfg: dict, inst: HardyInstance, label: str = "verify") -> int:
 
 
 def cmd_scan(cfg: dict, inst: HardyInstance, label: str = "scan") -> int:
-    s = cfg["scan"]
     try:
-        result = scan(inst, tol=float(s["tol"]))
+        result = scan(inst)
     except VacuousInstanceError as err:
         print(f"scan: vacuous instance: {err}")
         return EXIT_MATH
-    print(f"scan: best ratio {result.best_ratio:.6g} after {len(result.trace)} evaluations")
+    print(f"scan: best ratio {result.best_ratio:.6g}")
     print(f"scan: limit {result.limit:.9g} +- {result.limit_error:.2g} ({result.verdict})")
     payload = {
         "best_ratio": result.best_ratio,
-        "best_params": result.best_params,
-        "evaluations": len(result.trace),
         "limit": result.limit,
         "limit_error": result.limit_error,
         "verdict": result.verdict,
     }
     _write_record(cfg, label, "scan", inst, payload)
-    names = list(result.best_params)
-    rows = [
-        [entry.width, *[entry.params[n] for n in names], entry.ratio, entry.error_bound]
-        for entry in result.trace
-    ]
-    header = ["width", *names, "ratio", "error_bound"]
+    rows = [[entry.width, entry.ratio, entry.error_bound] for entry in result.trace]
+    header = ["width", "ratio", "error_bound"]
     _write_atomic(Path(cfg["output"]["dir"]) / f"{label}-trace.csv", emit_csv(rows, header))
     if result.verdict == INDETERMINATE:
         return EXIT_INDETERMINATE
-    max_ratio = s.get("max_ratio")
+    max_ratio = cfg["scan"].get("max_ratio")
     if max_ratio is not None and result.limit > float(max_ratio):
         print(f"scan: the limit exceeds the expected bound {max_ratio}")
         return EXIT_MATH

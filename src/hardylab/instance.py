@@ -130,7 +130,6 @@ class HardyInstance:
     sigma: Expr
     beta: float
     u_prime: Expr = field(init=False)
-    u_second: Expr = field(init=False)
     p_prime: Expr = field(init=False)
     split_points: tuple = field(init=False, default=())
     condition: Expr | None = None
@@ -142,7 +141,6 @@ class HardyInstance:
         if not self.beta > 0:
             raise InvalidParamsError(f"beta must be positive, got {self.beta!r}")
         self.u_prime = differentiate(self.u)
-        self.u_second = differentiate(self.u_prime)
         self.p_prime = differentiate(self.vp.p)
         pts = set(self.vp.split_points)
         for e in (self.u, self.u_prime, self.sigma, self.phi):
@@ -208,21 +206,6 @@ def negative_divergence_expr(u: Expr, p: Expr) -> Expr:
     dp = differentiate(p)
     inner = add(mul(mul(dp, up), log(abs_(up))), mul(sub(p, const(1.0)), upp))
     return neg(mul(pow_(abs_(up), sub(p, const(2.0))), inner))
-
-
-def lhs_core_expr(inst: HardyInstance) -> Expr:
-    """Density core of the left-hand weight for twice-differentiable u:
-    sigma (u')^2 - p' u u' log|u'| - (p-1) u u''.
-
-    Where Phi is the exact negative divergence term this equals
-    (Phi u + sigma |u'|^p) / |u'|^(p-2) pointwise.
-    """
-    u, up, upp = inst.u, inst.u_prime, inst.u_second
-    p, dp, sigma = inst.vp.p, inst.p_prime, inst.sigma
-    t1 = mul(sigma, pow_(up, const(2.0)))
-    t2 = mul(mul(dp, mul(u, up)), log(abs_(up)))
-    t3 = mul(sub(p, const(1.0)), mul(u, upp))
-    return sub(sub(t1, t2), t3)
 
 
 def pointwise_condition_expr(inst: HardyInstance) -> Expr:
@@ -397,28 +380,6 @@ def _is_zero_const(e: Expr) -> bool:
     return e.kind == "const" and e.value == 0.0
 
 
-def constant_exponent_measures(inst: HardyInstance) -> tuple[WeightedMeasure, WeightedMeasure]:
-    """Constant-exponent form of the weights, with the constant moved to the
-    left: ((beta-sigma)/(p-1))^(p-1) (Phi u + sigma |u'|^p) u^(-beta-1) on
-    {u > 0} against plain u^(p-beta-1) on {u' != 0}."""
-    if inst.vp.p.kind != "const":
-        raise InvalidParamsError("constant-exponent measures need a constant p")
-    mu1, mu2 = build_measures(inst)
-    p, sigma, beta = inst.vp.p, inst.sigma, const(inst.beta)
-    factor = pow_(div(sub(beta, sigma), sub(p, const(1.0))), sub(p, const(1.0)))
-    mu1_61 = WeightedMeasure(
-        density=mul(factor, mu1.density),
-        split_points=mu1.split_points,
-        indicators=mu1.indicators,
-    )
-    mu2_61 = WeightedMeasure(
-        density=pow_(inst.u, sub(sub(p, beta), const(1.0))),
-        split_points=mu2.split_points,
-        indicators=mu2.indicators,
-    )
-    return mu1_61, mu2_61
-
-
 # ---------------------------------------------------------------------------
 # presets
 
@@ -445,7 +406,7 @@ def preset(name: str, /, **params) -> HardyInstance:
     if missing:
         raise InvalidParamsError(f"preset {name!r} is missing keys {missing}")
     for key in _EXPR_KEYS & read & params.keys():
-        if isinstance(params[key], str):
+        if isinstance(params[key], str) and not (key == "phi" and _is_auto(params[key])):
             read |= identifiers(params[key])
     unread = [key for key in params if key not in read]
     if unread:
@@ -587,11 +548,12 @@ def _preset_constant_exponent(
     )
 
 
+def _is_auto(phi) -> bool:  # phi = "auto" is the exact negative divergence term
+    return isinstance(phi, str) and phi.strip().lower() == "auto"
+
+
 def _preset_raw(domain, p, u, sigma, beta, phi="auto", **extra):
-    # phi = "auto" is the exact negative divergence term of u and p
-    if isinstance(phi, str) and phi.strip().lower() == "auto":
-        phi = None
-    return make_instance(domain, p, u, phi, sigma, beta, params=extra)
+    return make_instance(domain, p, u, None if _is_auto(phi) else phi, sigma, beta, params=extra)
 
 
 _PRESETS = {

@@ -66,15 +66,6 @@ class QuadratureResult:
     evaluations: int
     status: str
 
-    def __add__(self, other: "QuadratureResult") -> "QuadratureResult":
-        status = max(self.status, other.status, key=_STATUS_RANK.get)
-        return QuadratureResult(
-            self.value + other.value,
-            self.error_bound + other.error_bound,
-            self.evaluations + other.evaluations,
-            status,
-        )
-
 
 ZERO_RESULT = QuadratureResult(0.0, 0.0, 0, STATUS_CONVERGED)
 

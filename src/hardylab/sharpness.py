@@ -1,7 +1,7 @@
 """Empirical sharpness: the ratio RHS/LHS along one extremal sequence.
 
-``hardy_cutoff(EPS, -w/2, w/2)``, ``x^(1/2+EPS)`` on a plateau ``w`` decades
-wide, approaches the classical extremal ``x^(1/2)`` as ``w`` grows.
+``hardy_cutoff(w)``, ``x^(1/2+EPS)`` on a plateau ``w`` decades wide,
+approaches the classical extremal ``x^(1/2)`` as ``w`` grows.
 :func:`scan` evaluates the ratio at each width in :data:`WIDTHS` and
 extrapolates it to infinite width; for the classical Hardy inequality the
 limit is the optimal constant 1.  Nothing is random or adaptive.
@@ -21,6 +21,8 @@ from .quadrature import DEFAULT_TOL_ABS, STATUS_DIVERGENT
 from .verify import INDETERMINATE, TestFunction, _require_support_inside, _run_hardy
 
 EPS = 1e-8
+# quadrature tolerance of each ratio; the limit's error is mostly extrapolation gap
+TOL = 1e-6
 # plateau widths in decades; at 400 the left integral overflows
 WIDTHS = (18.75, 37.5, 75.0, 150.0)
 # no verdict is drawn from a limit error above this
@@ -53,22 +55,20 @@ def _ramp_prime(t: float) -> float:
     return 2.0 * t * s / (d * d)
 
 
-def hardy_cutoff(eps: float, log10_inner: float, log10_outer: float) -> TestFunction:
-    """Near-extremal family for the inverse-square-weight scenario:
-    x^(1/2+eps) times a plateau cutoff.
+def hardy_cutoff(width: float) -> TestFunction:
+    """Near-extremal member for the inverse-square-weight scenario:
+    x^(1/2+EPS) times a cutoff with plateau [10^(-width/2), 10^(width/2)].
 
     The cutoff ramps up over [inner/2, inner], equals 1 on [inner, outer],
     and ramps down over [outer, 2 outer] with edge exponent 2; classical
     extremals are not compactly supported, so the plateau width is what the
     scan stretches.
     """
-    if eps <= 0:
-        raise InvalidParamsError("eps must be positive")
-    inner = 10.0 ** log10_inner
-    outer = 10.0 ** log10_outer
-    if not inner < outer:
-        raise InvalidParamsError("inner edge must sit below the outer edge")
-    q = 0.5 + eps
+    if not 0.0 < width < math.inf:
+        raise InvalidParamsError(f"width must be finite and positive, got {width!r}")
+    inner = 10.0 ** (-0.5 * width)
+    outer = 10.0 ** (0.5 * width)
+    q = 0.5 + EPS
 
     def zeta(x):
         if x <= 0.5 * inner or x >= 2.0 * outer:
@@ -110,7 +110,7 @@ def hardy_cutoff(eps: float, log10_inner: float, log10_outer: float) -> TestFunc
         "hardy-cutoff",
         Interval(0.5 * inner, 2.0 * outer),
         2.0,
-        {"eps": eps, "log10_inner": log10_inner, "log10_outer": log10_outer},
+        {"width": width},
         f,
         df,
         f_grid,
@@ -124,7 +124,7 @@ def _require_ratio_inputs(inst: HardyInstance, xi: TestFunction):
     _require_support_inside(xi, inst.domain)
 
 
-def ratio(inst: HardyInstance, xi: TestFunction, tol: float = 1e-6) -> tuple[float, float]:
+def ratio(inst: HardyInstance, xi: TestFunction) -> tuple[float, float]:
     """(rhs_main + rhs_log) / lhs for one test function, whose support must
     lie strictly inside the domain, and a bound on its quadrature error.
 
@@ -134,7 +134,7 @@ def ratio(inst: HardyInstance, xi: TestFunction, tol: float = 1e-6) -> tuple[flo
     bound when an integral is suspected divergent."""
     _require_ratio_inputs(inst, xi)
     mu1, mu2 = build_measures(inst)
-    rep = _run_hardy(inst, xi, mu1, mu2, tol, DEFAULT_TOL_ABS)
+    rep = _run_hardy(inst, xi, mu1, mu2, TOL, DEFAULT_TOL_ABS)
     lhs, rhs = rep.lhs, rep.rhs_main.value + rep.rhs_log.value
     if STATUS_DIVERGENT in (lhs.status, rep.rhs_main.status, rep.rhs_log.status):
         return math.nan, math.inf
@@ -153,22 +153,24 @@ def ratio(inst: HardyInstance, xi: TestFunction, tol: float = 1e-6) -> tuple[flo
 @dataclass
 class TraceEntry:
     width: float
-    params: dict
     ratio: float
     error_bound: float
 
 
 @dataclass
 class ScanResult:
-    best_ratio: float  # the smallest sampled ratio
-    best_params: dict
     trace: list  # one TraceEntry per width, in the order of WIDTHS
     limit: float
     limit_error: float
     verdict: str  # SHARP, NOT_SHARP or INDETERMINATE
 
+    @property
+    def best_ratio(self) -> float:
+        """The smallest sampled ratio."""
+        return min(entry.ratio for entry in self.trace)
 
-def scan(inst: HardyInstance, tol: float = 1e-6) -> ScanResult:
+
+def scan(inst: HardyInstance) -> ScanResult:
     """The ratio at every width in WIDTHS and its limit, extrapolated with
     the polynomial in ``1/w`` through all of them (Richardson).
 
@@ -179,13 +181,10 @@ def scan(inst: HardyInstance, tol: float = 1e-6) -> ScanResult:
     misses 1.  It is ``indeterminate`` when the error exceeds
     :data:`MAX_LIMIT_ERROR` or a ratio rests on a suspected divergence.
     """
-    members = [hardy_cutoff(EPS, -0.5 * w, 0.5 * w) for w in WIDTHS]
+    members = [hardy_cutoff(w) for w in WIDTHS]
     # the widest support holds every other, so one check comes before any evaluation
     _require_ratio_inputs(inst, members[-1])
-    trace = [
-        TraceEntry(w, dict(xi.params), *ratio(inst, xi, tol))
-        for w, xi in zip(WIDTHS, members)
-    ]
+    trace = [TraceEntry(w, *ratio(inst, xi)) for w, xi in zip(WIDTHS, members)]
     ratios = [entry.ratio for entry in trace]
     limit = sum(c * r for c, r in zip(_WEIGHTS, ratios))
     lower = sum(c * r for c, r in zip(_WEIGHTS_LOWER, ratios))
@@ -198,5 +197,4 @@ def scan(inst: HardyInstance, tol: float = 1e-6) -> ScanResult:
         verdict = SHARP
     else:
         verdict = NOT_SHARP
-    best = min(trace, key=lambda e: e.ratio)
-    return ScanResult(best.ratio, dict(best.params), trace, limit, limit_error, verdict)
+    return ScanResult(trace, limit, limit_error, verdict)

@@ -1,5 +1,4 @@
-"""Numerical verification of the weighted inequalities and the two scalar
-inequalities they rest on.
+"""Numerical verification of the weighted inequalities.
 
 A verification compares one weighted integral of a test function against one
 or two weighted integrals of its derivative; the verdict accounts for the
@@ -271,35 +270,6 @@ def _verdict(lhs, rhs_main, rhs_log):
 
 
 # ---------------------------------------------------------------------------
-# scalar inequalities
-
-
-def check_young(s1: float, s2: float, p: float, tau: float) -> float:
-    """RHS - LHS of the weighted Young inequality
-    s1 s2^(p-1) <= s1^p / (p tau^(p-1)) + (p-1)/p tau s2^p.
-
-    Both sides are assembled from the same x * x^(p-1) products, so the
-    equality case (s1 = s2, tau = 1, p = 2) cancels exactly."""
-    if s1 < 0 or s2 < 0 or not 1.0 < p or tau <= 0:
-        raise ValueError("need s1, s2 >= 0, p > 1, tau > 0")
-    lhs = s1 * s2 ** (p - 1.0)
-    s1_p = s1 * s1 ** (p - 1.0)
-    s2_p = s2 * s2 ** (p - 1.0)
-    rhs = s1_p / (p * tau ** (p - 1.0)) + (p - 1.0) / p * tau * s2_p
-    return rhs - lhs
-
-
-def check_sum_power(s1: float, s2: float, p: float) -> float:
-    """RHS - LHS of (s1+s2)^p <= 2^((p-1) chi[s1 != 0]) (s1^p + s2^p);
-    the factor is exactly 1 when s1 == 0."""
-    if s1 < 0 or s2 < 0 or not 1.0 < p:
-        raise ValueError("need s1, s2 >= 0, p > 1")
-    lhs = (s1 + s2) ** p
-    factor = 2.0 ** (p - 1.0) if s1 != 0.0 else 1.0
-    return factor * (s1 ** p + s2 ** p) - lhs
-
-
-# ---------------------------------------------------------------------------
 # the two weighted inequalities
 
 
@@ -459,6 +429,7 @@ def _run_hardy(inst, xi, mu1, mu2, tol, tol_abs):
 
 @dataclass
 class BatchSummary:
+    family: str  # the family the test functions were drawn from
     counts: dict
     worst_margin: float
     witnesses: list
@@ -520,8 +491,9 @@ def batch_verify(
         raise InvalidParamsError(f"family must be one of {FAMILIES}, got {family!r}")
     if not isinstance(count, int) or count < 0:
         raise InvalidParamsError(f"count must be a nonnegative integer, got {count!r}")
-    bad = [c.name for c in check_admissibility(inst).conditions if not c.holds]
-    if bad:
+    report = check_admissibility(inst)
+    if not report.admissible:
+        bad = [c.name for c in report.conditions if not c.holds]
         raise InadmissibleInstanceError(f"instance fails {bad}; run check_admissibility for details")
     if inst.vacuous:
         raise VacuousInstanceError("instance has an identically-zero left weight")
@@ -551,4 +523,4 @@ def batch_verify(
         if record["verdict"] != PASS:
             witnesses.append(record)
     margins = [case["margin"] for case in cases if not math.isnan(case["margin"])]
-    return BatchSummary(counts, min(margins, default=math.nan), witnesses, evaluations, cases)
+    return BatchSummary(family, counts, min(margins, default=math.nan), witnesses, evaluations, cases)

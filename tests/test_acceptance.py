@@ -15,7 +15,8 @@ from hardylab.quadrature import STATUS_DIVERGENT, integrate
 from hardylab.report import parse_json
 from hardylab.sharpness import scan
 from hardylab.spaces import luxemburg_norm, modular, validate_exponent
-from hardylab.verify import batch_verify, check_sum_power, check_young, tent, verify_caccioppoli
+from hardylab.verify import batch_verify, tent, verify_caccioppoli
+from oracles import check_sum_power, check_young
 
 SIGMA_T3 = 2 * math.exp(-1.5) + 1
 

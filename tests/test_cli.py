@@ -14,7 +14,9 @@ from hardylab.cli import (
     main,
 )
 from hardylab.errors import InvalidParamsError
+from hardylab.instance import preset
 from hardylab.report import parse_json
+from hardylab.verify import batch_verify
 
 
 def _write_config(tmp_path, body):
@@ -144,9 +146,11 @@ def test_scan_writes_one_trace_row_per_width(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _write_config(tmp_path, f"[instance]\npreset = constp\n[output]\ndir = {out}\n")
     assert main(["scan", "--config", cfg]) == EXIT_OK
-    assert "scan: limit 1.00000001 +- 8.2e-06 (sharp)" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "scan: best ratio 1.05037\nscan: limit 1.00000001 +- 8.2e-06 (sharp)\n"
+    )
     header, *rows = (out / "scan-trace.csv").read_text().strip().split("\n")
-    assert header == "width,eps,log10_inner,log10_outer,ratio,error_bound"
+    assert header == "width,ratio,error_bound"
     assert [row.split(",")[0] for row in rows] == ["18.75", "37.5", "75", "150"]
     payload = parse_json((out / "scan.json").read_bytes()).payload
     assert payload["verdict"] == "sharp"
@@ -444,7 +448,7 @@ def test_indeterminate_admissibility_exits_3(tmp_path, capsys, command):
     assert "u-nonnegative" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("key", ["budget", "restarts"])
+@pytest.mark.parametrize("key", ["budget", "restarts", "tol"])
 @pytest.mark.parametrize("value", ["0", "-2", "1e3"])
 def test_removed_scan_count_keys_are_unknown(tmp_path, capsys, monkeypatch, key, value):
     cfg = _write_config(
@@ -594,3 +598,35 @@ def test_verify_refuses_a_vacuous_instance(tmp_path, capsys):
     assert main(["verify", "--config", cfg]) == EXIT_MATH
     assert capsys.readouterr().out.startswith("verify: vacuous instance:")
     assert not (out / "verify.json").exists()
+
+
+def test_verify_record_names_the_family_each_batch_drew_from(tmp_path):
+    # Caccioppoli batches draw power bumps whatever family is configured
+    out = tmp_path / "out"
+    assert main(["reproduce", "cor51", "--out", str(out)]) == EXIT_OK
+    payload = parse_json((out / "cor51-verify.json").read_bytes()).payload
+    assert payload["family"] == "mixed"
+    assert {kind: batch["family"] for kind, batch in payload["batches"].items()} == {
+        "caccioppoli": "power_bump", "hardy": "mixed",
+    }
+    summary = batch_verify(preset("cor51"), "mixed", 6, 7, which="caccioppoli")
+    assert summary.family == "power_bump"
+    assert {case["kind"] for case in summary.cases} == {"power-bump"}
+
+
+def test_each_witness_names_the_family_it_was_drawn_from(tmp_path):
+    # phi = 1e4 breaks the PDI that the inequalities rest on, so every case
+    # fails and becomes a witness
+    out = tmp_path / "out"
+    cfg = _write_config(
+        tmp_path,
+        "[instance]\npreset = raw\ndomain = 0, 1\np = 2\nu = x\nphi = 1e4\nsigma = 0\n"
+        f"beta = 1\n[verification]\ncount = 2\n[output]\ndir = {out}\n",
+    )
+    assert main(["verify", "--config", cfg]) == EXIT_MATH
+    replay = parse_json((out / "verify-witnesses.json").read_bytes()).payload
+    assert set(replay) == {"seed", "witnesses"}
+    assert [(w["inequality"], w["family"]) for w in replay["witnesses"]] == [
+        ("caccioppoli", "power_bump"), ("caccioppoli", "power_bump"),
+        ("hardy", "mixed"), ("hardy", "mixed"),
+    ]

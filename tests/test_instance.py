@@ -10,8 +10,6 @@ from hardylab.instance import (
     build_measures,
     check_admissibility,
     check_nonneg,
-    constant_exponent_measures,
-    lhs_core_expr,
     make_instance,
     pointwise_condition_expr,
     preset,
@@ -19,6 +17,7 @@ from hardylab.instance import (
     weak_pdi_residual,
 )
 from hardylab.verify import tent
+from oracles import constant_exponent_measures, lhs_core_expr
 
 SIGMA_T3 = 2 * math.exp(-1.5) + 1
 
@@ -327,6 +326,17 @@ def test_preset_rejects_a_key_nothing_reads():
     # the misspelt beta would otherwise be recorded as a parameter, beta kept at 2
     with pytest.raises(InvalidParamsError, match="'bta'"):
         preset("cor51", bta=3)
+
+
+def test_an_auto_phi_reads_no_parameter():
+    # phi = auto is the negative divergence term, not an expression that
+    # reads a parameter named auto
+    raw_keys = dict(domain="0, 1", u="x", sigma="0", beta="1")
+    for text in ("auto", " AUTO "):
+        with pytest.raises(InvalidParamsError, match="'auto'"):
+            preset("raw", p="2", phi=text, auto="3", **raw_keys)
+    # an exponent that reads it does
+    assert preset("raw", p="auto", auto="3", **raw_keys).params == {"auto": 3.0}
 
 
 def test_raw_preset_names_its_missing_keys():

@@ -284,14 +284,6 @@ def test_determinism():
     )
 
 
-def test_result_addition_tracks_worst_status():
-    r1 = integrate(lambda x: 1.0, Interval(0, 1))
-    r2 = integrate(lambda x: x ** -2.0, Interval(0, 1), endpoint_singular=(True, False))
-    total = r1 + r2
-    assert total.status == STATUS_DIVERGENT
-    assert total.evaluations == r1.evaluations + r2.evaluations
-
-
 def test_invalid_tolerance_rejected():
     with pytest.raises(ValueError):
         integrate(lambda x: 1.0, Interval(0, 1), tol=0.0)

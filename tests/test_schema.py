@@ -42,8 +42,5 @@ def test_scan_record_payload(records):
     doc = records["constp-hardy-scan.json"]
     assert doc["operation"] == "scan"
     payload = doc["payload"]
-    assert set(payload) == {
-        "best_ratio", "best_params", "evaluations", "limit", "limit_error", "verdict",
-    }
+    assert set(payload) == {"best_ratio", "limit", "limit_error", "verdict"}
     assert payload["verdict"] == "sharp"
-    assert payload["evaluations"] == 4
