@@ -640,7 +640,7 @@ class SingularScan:
 
 
 def _singularity_generators(e: Expr, acc: list):
-    """Collect (expr, reason) whose zeros make ``e`` or its derivative
+    """Collect the expressions whose zeros make ``e`` or its derivative
     non-smooth or undefined."""
     kind = e.kind
     if kind == "/":
@@ -775,7 +775,8 @@ def singular_scan(e: Expr, interval: Interval) -> SingularScan:
     xs = _scan_grid(interval)
     seen: list[float] = []
     suspected: list[float] = []
-    for gen in generators:
+    # a generator met twice (x - a under both a log and an abs) is scanned once
+    for gen in dict.fromkeys(generators):
         pts, sus = _fn_zeros(_compiled_on_first_call(gen), xs, eval_grid(gen, xs))
         seen.extend(pts)
         suspected.extend(sus)

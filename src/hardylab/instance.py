@@ -61,10 +61,10 @@ INDETERMINATE = "indeterminate"
 
 @dataclass
 class WeightedMeasure:
-    """Density against Lebesgue measure, restricted by indicator conditions.
+    """Density against Lebesgue measure, restricted by one indicator.
 
     ``density`` is the closed-form expression on the supported region;
-    ``indicators`` are (mode, expr) pairs checked pointwise before the
+    ``indicator`` is a (mode, expr) pair checked pointwise before the
     density is evaluated ('positive' zeroes the density where expr <= 0,
     'nonzero' where expr == 0).  Indicator boundaries and density
     singularities are recorded in ``split_points`` so quadrature panels
@@ -73,23 +73,16 @@ class WeightedMeasure:
 
     density: Expr
     split_points: tuple
-    indicators: tuple = ()
+    indicator: tuple
 
     def density_fn(self):
         dens = compile_fn(self.density)
-        checks = tuple((mode, compile_fn(e)) for mode, e in self.indicators)
-
-        def fn(x):
-            for mode, chk in checks:
-                v = chk(x)
-                if mode == "positive":
-                    if not v > 0.0:
-                        return 0.0
-                elif v == 0.0:
-                    return 0.0
-            return dens(x)
-
-        return fn
+        mode, e = self.indicator
+        chk = compile_fn(e)
+        # a NaN indicator zeroes a 'positive' density and keeps a 'nonzero' one
+        if mode == "positive":
+            return lambda x: dens(x) if chk(x) > 0.0 else 0.0
+        return lambda x: 0.0 if chk(x) == 0.0 else dens(x)
 
 
 @dataclass
@@ -113,12 +106,6 @@ class AdmissibilityReport:
     @property
     def admissible(self) -> bool:
         return all(c.holds for c in self.conditions)
-
-    def condition(self, name: str) -> ConditionReport:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 @dataclass
@@ -358,7 +345,7 @@ def build_measures(inst: HardyInstance) -> tuple[WeightedMeasure, WeightedMeasur
     mu1 = WeightedMeasure(
         density=mu1_density,
         split_points=splits,
-        indicators=(("positive", u),),
+        indicator=("positive", u),
     )
 
     factor = pow_(div(sub(p, const(1.0)), sub(const(inst.beta), sigma)), sub(p, const(1.0)))
@@ -370,7 +357,7 @@ def build_measures(inst: HardyInstance) -> tuple[WeightedMeasure, WeightedMeasur
     mu2 = WeightedMeasure(
         density=mu2_density,
         split_points=splits,
-        indicators=(("nonzero", up),),
+        indicator=("nonzero", up),
     )
     inst._measures = (mu1, mu2)
     return inst._measures

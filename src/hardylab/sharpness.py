@@ -62,12 +62,18 @@ def hardy_cutoff(width: float) -> TestFunction:
     The cutoff ramps up over [inner/2, inner], equals 1 on [inner, outer],
     and ramps down over [outer, 2 outer] with edge exponent 2; classical
     extremals are not compactly supported, so the plateau width is what the
-    scan stretches.
+    scan stretches.  The width must be positive with ``2 outer`` finite,
+    which holds up to a width of about 615.9.
     """
-    if not 0.0 < width < math.inf:
-        raise InvalidParamsError(f"width must be finite and positive, got {width!r}")
+    try:
+        outer = 10.0 ** (0.5 * width)
+    except OverflowError:
+        outer = math.inf
+    if not (width > 0.0 and math.isfinite(2.0 * outer)):
+        raise InvalidParamsError(
+            f"width must be positive with 2*10^(width/2) finite, got {width!r}"
+        )
     inner = 10.0 ** (-0.5 * width)
-    outer = 10.0 ** (0.5 * width)
     q = 0.5 + EPS
 
     def zeta(x):

@@ -41,11 +41,12 @@ EXHAUSTION_LEVELS = (4, 16, 64)
 
 @dataclass(frozen=True)
 class Integrand:
-    """A function to integrate, zero outside ``support`` (the whole domain
-    when None), with the interior points where it is not smooth."""
+    """A function to integrate, zero outside ``support``, with the interior
+    points where it is not smooth.  ``fn`` is called only strictly inside
+    the support, so it need not decide where it vanishes."""
 
     fn: Callable[[float], float]
-    support: Interval | None = None
+    support: Interval
     split_points: tuple = ()
 
 
@@ -149,38 +150,26 @@ def _probe_integrability(vp: VariableExponent) -> None:
                 )
 
 
-def _as_callable(f) -> Callable[[float], float]:
-    if isinstance(f, Integrand):
-        return f.fn
-    if isinstance(f, Expr):
-        return compile_fn(f)
-    return f
-
-
 def modular(
-    f,
+    f: Integrand,
     vp: VariableExponent,
     mu=None,
     tol: float = DEFAULT_TOL,
     tol_abs: float = DEFAULT_TOL_ABS,
 ) -> QuadratureResult:
-    """Integral of ``|f(x)|^p(x)`` against the measure ``mu`` (Lebesgue when
-    omitted) over the exponent's domain intersected with f's support.
+    """Integral of ``|f.fn(x)|^p(x)`` against the measure ``mu`` (Lebesgue
+    when omitted) over the exponent's domain intersected with f's support.
 
-    ``f`` may be a callable, an expression, or an :class:`Integrand` or test
-    function carrying ``support`` and ``split_points``; all recorded singular
-    points become quadrature splits.
+    The singular points of the exponent, of ``f`` and of ``mu`` become
+    quadrature splits.  Both finite ends are integrated as singular, so
+    ``f.fn`` is called only strictly inside the support.
     """
-    fn = _as_callable(f)
+    fn = f.fn
     p_fn = compile_fn(vp.p)
     dens = mu.density_fn() if mu is not None else None
 
-    lo, hi = vp.domain.lo, vp.domain.hi
-    splits = set(vp.split_points)
-    support = getattr(f, "support", None)
-    if support is not None:
-        lo, hi = max(lo, support.lo), min(hi, support.hi)
-    splits.update(getattr(f, "split_points", ()))
+    lo, hi = max(vp.domain.lo, f.support.lo), min(vp.domain.hi, f.support.hi)
+    splits = {*vp.split_points, *f.split_points}
     if mu is not None:
         splits.update(mu.split_points)
     if not lo < hi:
@@ -216,8 +205,9 @@ NORM_TOL_ABS = 1e-13
 BRACKET_SLACK = 1e-3
 
 
-def luxemburg_norm(f, vp: VariableExponent) -> float:
-    """inf of lambda > 0 with modular(f / lambda) <= 1.
+def luxemburg_norm(f: Callable[[float], float], vp: VariableExponent) -> float:
+    """inf of lambda > 0 with modular(f / lambda) <= 1, for a function ``f``
+    defined on the whole (open) domain of ``vp``.
 
     The norm lies between ``rho^(1/p_plus)`` and ``rho^(1/p_minus)`` for
     ``rho = modular(f)`` (Diening, Harjulehto, Hasto and Ruzicka, LNM 2017,
@@ -233,15 +223,12 @@ def luxemburg_norm(f, vp: VariableExponent) -> float:
     Raises NoFiniteBracketError when ``modular(f)`` is infinite or suspected
     divergent, or when doubling passes ``BRACKET_CAP``.
     """
-    fn = _as_callable(f)
-    support = getattr(f, "support", None)
-    splits = getattr(f, "split_points", ())
 
     def scaled_modular(lam):
-        scaled = Integrand(lambda x: fn(x) / lam, support, splits)
+        scaled = Integrand(lambda x: f(x) / lam, vp.domain)
         return modular(scaled, vp, tol=NORM_TOL, tol_abs=NORM_TOL_ABS).value
 
-    r = modular(f, vp, tol=NORM_TOL, tol_abs=NORM_TOL_ABS)
+    r = modular(Integrand(f, vp.domain), vp, tol=NORM_TOL, tol_abs=NORM_TOL_ABS)
     rho = r.value
     if rho == 0.0:
         return 0.0

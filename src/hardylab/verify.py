@@ -62,9 +62,10 @@ class TestFunction:
     """Compactly supported Lipschitz function with an explicit derivative.
 
     ``edge_exponent`` is the decay rate at the support boundary; it controls
-    which inequalities the function is admissible for.  The function
-    evaluates to exactly 0 outside its support.  ``_f`` and ``_df`` are the
-    scalar forms that integrands call; ``_f_grid`` takes a float array of
+    which inequalities the function is admissible for.  Called directly, the
+    function and :meth:`derivative` evaluate to exactly 0 outside the
+    support.  ``_f`` and ``_df`` are the scalar forms that integrands call,
+    only strictly inside the support; ``_f_grid`` takes a float array of
     points inside the support, for sampling grids.  The built-in families
     are nonnegative and Lipschitz for every parameter their constructors
     accept, so only :func:`from_expr` samples its function.
@@ -282,7 +283,7 @@ def _require_support_inside(tf: TestFunction, domain: Interval):
 
 def _tlogt_view(tf: TestFunction) -> Integrand:
     def g(x):
-        v = tf(x)
+        v = tf._f(x)
         if v <= 0.0:
             return 0.0  # t log t extended by 0 at t = 0
         return v * math.log(v)
@@ -290,7 +291,7 @@ def _tlogt_view(tf: TestFunction) -> Integrand:
     # t log t vanishes again at t = 1; |g|^p has a kink wherever tf crosses
     # 1, so those crossings become quadrature splits
     xs = tf.support.midpoint_array(TEST_GRID)
-    crossings, _ = _fn_zeros(lambda x: tf(x) - 1.0, xs, tf.grid(xs) - 1.0)
+    crossings, _ = _fn_zeros(lambda x: tf._f(x) - 1.0, xs, tf.grid(xs) - 1.0)
     return Integrand(g, tf.support, tuple(sorted(set(tf.split_points) | set(crossings))))
 
 
@@ -334,21 +335,20 @@ def _run_caccioppoli(inst, phi, mu1, tol, tol_abs):
     up_fn = compile_fn(inst.u_prime)
     beta = inst.beta
 
-    lo = max(inst.domain.lo, phi.support.lo)
-    hi = min(inst.domain.hi, phi.support.hi)
+    f, df = phi._f, phi._df
     splits = sorted(set(mu1.split_points) | set(phi.split_points))
 
     def lhs_integrand(x):
-        v = phi(x)
+        v = f(x)
         if v == 0.0:
             return 0.0
         d = dens1(x)
         return 0.0 if d == 0.0 else d * v
 
     def rhs_integrand(x):
-        dv = phi.derivative(x)
+        dv = df(x)
         pv = p_fn(x)
-        phiv = phi(x)
+        phiv = f(x)
         if phiv <= 0.0 or dv == 0.0:
             # below floating-point resolution of the edge; the limit is 0
             # whenever the edge-exponent hypothesis holds
@@ -377,9 +377,9 @@ def _run_caccioppoli(inst, phi, mu1, tol, tol_abs):
             return math.inf
         return math.exp(log_total)
 
-    lhs = integrate(lhs_integrand, Interval(lo, hi), split_at=splits,
+    lhs = integrate(lhs_integrand, phi.support, split_at=splits,
                     endpoint_singular=(True, True), tol=tol, tol_abs=tol_abs)
-    rhs = integrate(rhs_integrand, Interval(lo, hi), split_at=splits,
+    rhs = integrate(rhs_integrand, phi.support, split_at=splits,
                     endpoint_singular=(True, True), tol=tol, tol_abs=tol_abs)
     margin, verdict = _verdict(lhs, rhs, ZERO_RESULT)
     return VerificationReport(lhs, rhs, ZERO_RESULT, margin, verdict)
@@ -402,16 +402,15 @@ def _log_weight_measure(inst, mu2):
     return WeightedMeasure(
         density=mul(weight, mu2.density),
         split_points=mu2.split_points,
-        indicators=mu2.indicators,
+        indicator=mu2.indicator,
     )
 
 
 def _run_hardy(inst, xi, mu1, mu2, tol, tol_abs):
-    lhs = modular(xi, inst.vp, mu=mu1, tol=tol, tol_abs=tol_abs)
-    rhs_main = modular(
-        Integrand(xi.derivative, xi.support, xi.split_points), inst.vp, mu=mu2,
-        tol=tol, tol_abs=tol_abs,
-    )
+    lhs = modular(Integrand(xi._f, xi.support, xi.split_points), inst.vp, mu=mu1,
+                  tol=tol, tol_abs=tol_abs)
+    rhs_main = modular(Integrand(xi._df, xi.support, xi.split_points), inst.vp, mu=mu2,
+                       tol=tol, tol_abs=tol_abs)
     if inst.p_prime.kind == "const" and inst.p_prime.value == 0.0:
         rhs_log = ZERO_RESULT
     else:

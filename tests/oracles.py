@@ -1,11 +1,14 @@
-"""Reference forms that only the tests use: the two scalar inequalities the
-weighted ones rest on, the left weight's density core, and the
-constant-exponent form of the weights.  Not collected (no ``test_`` prefix);
-test modules import it by name."""
+"""Reference forms and lookups that only the tests use: the two scalar
+inequalities the weighted ones rest on, the left weight's density core, the
+constant-exponent form of the weights, and one condition of an
+admissibility report.  Not collected (no ``test_`` prefix); test modules
+import it by name."""
 
 from hardylab.errors import InvalidParamsError
 from hardylab.expr import Expr, abs_, const, differentiate, div, log, mul, pow_, sub
-from hardylab.instance import HardyInstance, WeightedMeasure, build_measures
+from hardylab.instance import (
+    AdmissibilityReport, ConditionReport, HardyInstance, WeightedMeasure, build_measures,
+)
 
 
 def check_young(s1: float, s2: float, p: float, tau: float) -> float:
@@ -60,11 +63,19 @@ def constant_exponent_measures(inst: HardyInstance) -> tuple[WeightedMeasure, We
     mu1_61 = WeightedMeasure(
         density=mul(factor, mu1.density),
         split_points=mu1.split_points,
-        indicators=mu1.indicators,
+        indicator=mu1.indicator,
     )
     mu2_61 = WeightedMeasure(
         density=pow_(inst.u, sub(sub(p, beta), const(1.0))),
         split_points=mu2.split_points,
-        indicators=mu2.indicators,
+        indicator=mu2.indicator,
     )
     return mu1_61, mu2_61
+
+
+def condition(report: AdmissibilityReport, name: str) -> ConditionReport:
+    """The report's condition called ``name``."""
+    for c in report.conditions:
+        if c.name == name:
+            return c
+    raise KeyError(name)

@@ -14,7 +14,7 @@ from hardylab.instance import build_measures, preset, weak_pdi_residual
 from hardylab.quadrature import STATUS_DIVERGENT, integrate
 from hardylab.report import parse_json
 from hardylab.sharpness import scan
-from hardylab.spaces import luxemburg_norm, modular, validate_exponent
+from hardylab.spaces import Integrand, luxemburg_norm, modular, validate_exponent
 from hardylab.verify import batch_verify, tent, verify_caccioppoli
 from oracles import check_sum_power, check_young
 
@@ -208,7 +208,7 @@ def test_criterion_7_space_functionals():
         for _ in range(5):
             coeffs = rng.uniform(-2, 2, size=int(rng.integers(2, 5)))
             f = lambda x, c=coeffs: float(sum(ck * x ** k for k, ck in enumerate(c)))
-            m = modular(f, vp).value
+            m = modular(Integrand(f, vp.domain), vp).value
             if m < 1e-10:
                 continue
             norm = luxemburg_norm(f, vp)
@@ -222,7 +222,7 @@ def test_criterion_7_space_functionals():
         coeffs = rng.uniform(0.2, 2, size=3)
         f = lambda x, c=coeffs: float(c[0] + c[1] * x + c[2] * x * x)
         norm = luxemburg_norm(f, vp)
-        resid = abs(modular(lambda x: f(x) / norm, vp).value - 1.0)
+        resid = abs(modular(Integrand(lambda x: f(x) / norm, vp.domain), vp).value - 1.0)
         unit_ok = unit_ok and resid <= 1e-4
     _conclude(
         7, "space functionals", ok and unit_ok,

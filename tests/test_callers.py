@@ -2,7 +2,10 @@
 method that is not a dunder, has a caller in ``src/`` or ``perfbench/``:
 code that only the tests reach belongs in ``tests/``.  A reference is a
 ``Name``, an ``Attribute`` or an import alias anywhere outside the
-definition itself; names are matched by their text, not resolved."""
+definition itself; names are matched by their text, not resolved.  A method
+that shares its name with a field or stored attribute of a class in
+``src/`` is referenced only by a call ``.name(...)``, since reading the
+field looks the same as naming the method."""
 
 import ast
 from pathlib import Path
@@ -20,27 +23,49 @@ ALLOWED = {
 
 
 def _definitions():
-    """(qualified name, bare name, file, first line, last line) of every
-    module-level function and class, and every non-dunder method."""
+    """(qualified name, bare name, file, first line, last line, is method) of
+    every module-level function and class, and every non-dunder method."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
-            yield f"{path.stem}.{node.name}", node.name, path, node.lineno, node.end_lineno
+            yield f"{path.stem}.{node.name}", node.name, path, node.lineno, node.end_lineno, False
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
                         item.name.startswith("__") and item.name.endswith("__")
                     ):
                         qualified = f"{path.stem}.{node.name}.{item.name}"
-                        yield qualified, item.name, path, item.lineno, item.end_lineno
+                        yield qualified, item.name, path, item.lineno, item.end_lineno, True
+
+
+def _field_names():
+    """Names of the annotated class fields and ``self.name`` attributes
+    assigned anywhere in ``src/hardylab``."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                names.update(
+                    item.target.id for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                )
+            elif (
+                isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"
+            ):
+                names.add(node.attr)
+    return names
 
 
 def _references():
-    """Each referenced name, with the (file, line) of every reference."""
-    refs = {}
+    """Each referenced name, and separately each name called as
+    ``.name(...)``, with the (file, line) of every reference."""
+    refs, calls = {}, {}
     for path in sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                calls.setdefault(node.func.attr, []).append((path, node.lineno))
             if isinstance(node, ast.Name):
                 names = [node.id]
             elif isinstance(node, ast.Attribute):
@@ -51,15 +76,18 @@ def _references():
                 continue
             for name in names:
                 refs.setdefault(name, []).append((path, node.lineno))
-    return refs
+    return refs, calls
 
 
 def test_every_definition_in_src_has_a_caller_outside_tests():
-    refs = _references()
+    (refs, calls), fields = _references(), _field_names()
     unreached = sorted(
         qualified
-        for qualified, name, path, first, last in _definitions()
-        if all(p == path and first <= line <= last for p, line in refs.get(name, ()))
+        for qualified, name, path, first, last, method in _definitions()
+        if all(
+            p == path and first <= line <= last
+            for p, line in (calls if method and name in fields else refs).get(name, ())
+        )
     )
     assert unreached == sorted(ALLOWED), (
         "give each name a caller in src/ or perfbench/, move it into tests/, "

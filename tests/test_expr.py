@@ -197,6 +197,23 @@ def test_singular_points_polynomial_empty():
     assert singular_points(parse("(1 - x^2)^3"), Interval(-2, 2)) == []
 
 
+def test_singular_scan_scans_each_distinct_generator_once(monkeypatch):
+    e = parse("log(abs(x - 0.5)) + abs(x - 0.5)")
+    generators = []
+    expr._singularity_generators(e, generators)
+    assert len(set(generators)) < len(generators)  # x - 0.5 twice
+    calls = []
+    real = expr._fn_zeros
+
+    def counting(fn, xs, vals):
+        calls.append(1)
+        return real(fn, xs, vals)
+
+    monkeypatch.setattr(expr, "_fn_zeros", counting)
+    assert singular_scan(e, Interval(0, 1)).points == [0.5]
+    assert len(calls) == len(set(generators))
+
+
 def test_singular_scan_suspected_grazing_zero():
     # the denominator touches zero at 0.3 without a sign change: it cannot
     # be bracketed and is reported as suspected

@@ -72,9 +72,11 @@ def test_cutoff_family_shape():
 
 
 def test_cutoff_family_rejects_bad_params():
-    for width in (0.0, -1.0, math.inf, math.nan):
+    # from 616 on, the support's outer end 2 * 10^(width/2) overflows
+    for width in (0.0, -1.0, math.inf, math.nan, 616.0, 700.0):
         with pytest.raises(InvalidParamsError, match="width"):
             hardy_cutoff(width)
+    assert math.isfinite(hardy_cutoff(615.0).support.hi)
 
 
 @pytest.fixture(scope="module")

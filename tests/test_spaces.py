@@ -7,8 +7,8 @@ from scipy import integrate as sci_integrate
 
 from hardylab import spaces
 from hardylab.errors import ExponentRangeError, IntegrabilityProbeError, NoFiniteBracketError
-from hardylab.expr import Interval, parse
-from hardylab.spaces import luxemburg_norm, modular, validate_exponent
+from hardylab.expr import Interval, compile_fn, parse
+from hardylab.spaces import Integrand, luxemburg_norm, modular, validate_exponent
 
 
 def test_validate_affine_exponent():
@@ -54,31 +54,32 @@ def test_integrability_probe_failure():
 
 def test_modular_trivial_cases():
     vp = validate_exponent(parse("2"), Interval(0, 1))
-    assert modular(parse("0"), vp).value == 0.0
-    assert modular(parse("1"), vp).value == pytest.approx(1.0, abs=1e-10)
-    assert modular(parse("x"), vp).value == pytest.approx(1 / 3, rel=1e-9)
+    on = lambda text: Integrand(compile_fn(parse(text)), vp.domain)
+    assert modular(on("0"), vp).value == 0.0
+    assert modular(on("1"), vp).value == pytest.approx(1.0, abs=1e-10)
+    assert modular(on("x"), vp).value == pytest.approx(1 / 3, rel=1e-9)
 
 
 def test_modular_with_callable():
     vp = validate_exponent(parse("2"), Interval(0, 1))
-    r = modular(lambda x: x * x, vp)
+    r = modular(Integrand(lambda x: x * x, vp.domain), vp)
     assert r.value == pytest.approx(1 / 5, rel=1e-9)
 
 
 def test_luxemburg_constant_on_unit_domain():
     for p_text in ("2", "x+2", "1.5 + exp(-x)"):
         vp = validate_exponent(parse(p_text), Interval(0, 1))
-        assert luxemburg_norm(parse("3.7"), vp) == pytest.approx(3.7, rel=1e-9)
+        assert luxemburg_norm(compile_fn(parse("3.7")), vp) == pytest.approx(3.7, rel=1e-9)
 
 
 def test_luxemburg_classical_l2():
     vp = validate_exponent(parse("2"), Interval(0, 1))
-    assert luxemburg_norm(parse("x"), vp) == pytest.approx(1 / math.sqrt(3), rel=1e-9)
+    assert luxemburg_norm(compile_fn(parse("x")), vp) == pytest.approx(1 / math.sqrt(3), rel=1e-9)
 
 
 def test_luxemburg_zero():
     vp = validate_exponent(parse("2"), Interval(0, 1))
-    assert luxemburg_norm(parse("0"), vp) == 0.0
+    assert luxemburg_norm(compile_fn(parse("0")), vp) == 0.0
 
 
 def test_luxemburg_no_finite_bracket():
@@ -138,7 +139,7 @@ def test_norm_bracket_widening(narrowed):
         wrong = dataclasses.replace(vp, p_plus=vp.p_minus + 0.1)
     else:
         wrong = dataclasses.replace(vp, p_minus=vp.p_plus - 0.1)
-    assert luxemburg_norm(parse("3.7"), wrong) == pytest.approx(3.7, rel=1e-9)
+    assert luxemburg_norm(compile_fn(parse("3.7")), wrong) == pytest.approx(3.7, rel=1e-9)
     f = lambda x: 1.0 + math.sin(3 * x)
     assert luxemburg_norm(f, wrong) == pytest.approx(luxemburg_norm(f, vp), rel=1e-9)
 
@@ -158,7 +159,7 @@ def test_constant_exponent_consistency():
         vp = validate_exponent(parse(repr(p)), Interval(0, 1))
         for _ in range(7):
             f = _random_poly(rng)
-            m = modular(f, vp).value
+            m = modular(Integrand(f, vp.domain), vp).value
             if m < 1e-12:
                 continue
             assert luxemburg_norm(f, vp) == pytest.approx(m ** (1 / p), rel=1e-6)
@@ -182,7 +183,7 @@ def test_unit_ball_property():
     f = lambda x: 1.0 + math.sin(3 * x)
     norm = luxemburg_norm(f, vp)
     assert norm > 0
-    r = modular(lambda x: f(x) / norm, vp)
+    r = modular(Integrand(lambda x: f(x) / norm, vp.domain), vp)
     assert r.value == pytest.approx(1.0, abs=1e-4)
 
 
@@ -190,6 +191,6 @@ def test_norm_objective_monotone():
     vp = validate_exponent(parse("x+2"), Interval(0, 1))
     f = lambda x: 1.0 + x
     lams = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
-    vals = [modular(lambda x, l=l: f(x) / l, vp).value for l in lams]
+    vals = [modular(Integrand(lambda x, l=l: f(x) / l, vp.domain), vp).value for l in lams]
     for a, b in zip(vals, vals[1:]):
         assert a >= b - 1e-12

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from hardylab import quadrature, sharpness, verify
+from hardylab.cli import SCENARIOS, build_instance
 from hardylab.errors import (
     EvalDomainError,
     InadmissibleInstanceError,
@@ -348,6 +349,41 @@ def test_sharpness_ratio_makes_one_pass(distance_instance, monkeypatch):
     value, _ = sharpness.ratio(distance_instance, power_bump(0.0, 0.5))
     assert value == 1.5
     assert fake.passes() == [(1e-6, DEFAULT_TOL_ABS)]
+
+
+def _inside_only(tf):
+    """``tf`` with scalar forms that fail when called on or outside the support."""
+    lo, hi = tf.support.lo, tf.support.hi
+
+    def guard(fn):
+        def checked(x):
+            assert lo < x < hi, (tf.kind, x)
+            return fn(x)
+        return checked
+
+    tf._f, tf._df = guard(tf._f), guard(tf._df)
+    return tf
+
+
+def test_integrands_call_test_functions_only_inside_their_support(monkeypatch):
+    def outside_api(self, x):
+        raise AssertionError("an integrand called the public TestFunction API")
+
+    monkeypatch.setattr(verify.TestFunction, "__call__", outside_api)
+    monkeypatch.setattr(verify.TestFunction, "derivative", outside_api)
+    draw = verify.random_test_function
+    monkeypatch.setattr(
+        verify, "random_test_function", lambda *args: _inside_only(draw(*args))
+    )
+    for name, scenario in SCENARIOS.items():
+        if not name.startswith("cor"):
+            continue
+        inst = build_instance({"instance": scenario["instance"]})
+        for which in verify.BATCH_KINDS:
+            summary = batch_verify(inst, "mixed", 2, 3, which=which)
+            assert sum(summary.counts.values()) == 2, (name, which)
+    value, _ = sharpness.ratio(preset("constp"), _inside_only(sharpness.hardy_cutoff(18.75)))
+    assert math.isfinite(value)
 
 
 def test_divergence_guard_tent_raw_quadrature():
