@@ -14,6 +14,7 @@ reported by :func:`singular_points` so quadrature can split there.
 from __future__ import annotations
 
 import math
+import re
 import struct
 import textwrap
 from dataclasses import dataclass, field
@@ -44,10 +45,16 @@ class Expr:
     # a constant compares and hashes by its bits: 0.0 and -0.0 are different
     # trees, with different compiled functions, and a NaN constant is equal to itself
     bits: bytes = field(default=b"", init=False, repr=False)
+    # hash((kind, args, bits)), stored once: compile_fn looks trees up by it
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "const":
             object.__setattr__(self, "bits", struct.pack("<d", self.value))
+        object.__setattr__(self, "_hash", hash((self.kind, self.args, self.bits)))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"Expr({to_string(self)!r})"
@@ -169,10 +176,21 @@ def compile_fn(e: Expr) -> Callable[[float], float]:
     node, so its values are bit-identical to that and its first domain
     error is the same one: a quotient evaluates its denominator before its
     numerator, every other node its left argument first.  Compilation is
-    cached per tree, so repeated evaluation (quadrature, refinement) pays
-    the code generation only once.
+    cached per tree, in the cache that also holds the integrands of
+    :func:`compile_integrand`, so repeated evaluation (quadrature,
+    refinement) pays the code generation only once.
     """
     return _compile_cached(e)
+
+
+def compile_integrand(template: str, trees: tuple) -> Callable[..., Callable[[float], float]]:
+    """A cached factory ``make(f, df=None)`` of straight-line integrands:
+    ``template`` is the body of a function of ``x`` that may call ``f`` and
+    ``df``, where ``{k}`` (on an unindented line) is ``trees[k]``, computed
+    just before the first line that reads it.  Shared subtrees are computed
+    once; values and the first domain error are those of a :func:`compile_fn`
+    call per placeholder.  Template names must not look like ``v<n>``, ``c<n>``."""
+    return _compile_cached(trees, template)
 
 
 # One statement template per node kind: ``v`` names the node's value, ``a``
@@ -202,13 +220,15 @@ _STATEMENTS = {
 }
 # placed after the denominator and before the numerator is evaluated
 _DIVISION_GUARD = "if {b} == 0.0:\n    raise EvalDomainError('division by zero', x)"
+_SLOT = re.compile(r"\{(\d+)\}")
 
 
 @lru_cache(maxsize=4096)
-def _compile_cached(e: Expr) -> Callable[[float], float]:
-    # Constants are bound by name in the generated function's globals, never
-    # written into its source, so inf, nan and -0.0 keep their bits and no
-    # text from a config reaches the code.
+def _compile_cached(e, template: str | None = None):
+    # one tree to a function, or with a template a tuple of trees to an
+    # integrand factory.  Constants are bound by name in the generated
+    # function's globals, never written into its source, so inf, nan and
+    # -0.0 keep their bits and no text from a config reaches the code.
     env = {
         "exp": math.exp, "log": math.log, "pow": math.pow, "inf": math.inf,
         "_pow": _pow, "EvalDomainError": EvalDomainError,
@@ -246,10 +266,17 @@ def _compile_cached(e: Expr) -> Callable[[float], float]:
             lines.append(_STATEMENTS[kind].format(v=v, a=a, b=b))
         return names[key]
 
-    result = emit(e)
-    body = "\n".join([*lines, f"return {result}"])
-    exec(compile("def fn(x):\n" + textwrap.indent(body, "    "), "<hardylab.expr>", "exec"), env)
-    return env["fn"]
+    trees = (e,) if template is None else e
+    slots = [None] * len(trees)
+    for line in (template or "return {0}").splitlines():
+        for k in _SLOT.findall(line):
+            slots[int(k)] = emit(trees[int(k)])
+        lines.append(line.format(*slots))
+    source = "def fn(x):\n" + textwrap.indent("\n".join(lines), "    ")
+    if template is not None:
+        source = "def make(f, df=None):\n" + textwrap.indent(source + "\nreturn fn", "    ")
+    exec(compile(source, "<hardylab.expr>", "exec"), env)
+    return env["fn" if template is None else "make"]
 
 
 def evaluate(e: Expr, x: float) -> float:

@@ -75,15 +75,6 @@ class WeightedMeasure:
     split_points: tuple
     indicator: tuple
 
-    def density_fn(self):
-        dens = compile_fn(self.density)
-        mode, e = self.indicator
-        chk = compile_fn(e)
-        # a NaN indicator zeroes a 'positive' density and keeps a 'nonzero' one
-        if mode == "positive":
-            return lambda x: dens(x) if chk(x) > 0.0 else 0.0
-        return lambda x: 0.0 if chk(x) == 0.0 else dens(x)
-
 
 @dataclass
 class ConditionReport:

@@ -9,6 +9,10 @@ in panel order, so results are deterministic.  Each tanh-sinh level reuses
 the integrand values of the coarser levels' nodes, so ``evaluations`` counts
 distinct integrand calls.
 
+The integrand contract: ``f`` is called only strictly inside the panels (a
+tanh-sinh node that rounds onto an end stops that side), and a call that
+raises ``OverflowError`` reads as +inf; other exceptions propagate.
+
 Near a flagged endpoint the integrand is evaluated at plain abscissae, so
 endpoint distances below one ulp of the endpoint are not resolvable; for
 singular endpoints away from zero this limits attainable absolute accuracy
@@ -70,20 +74,16 @@ class QuadratureResult:
 ZERO_RESULT = QuadratureResult(0.0, 0.0, 0, STATUS_CONVERGED)
 
 
-def _call(f, x):
-    try:
-        return f(x)
-    except OverflowError:
-        return math.inf
-
-
 def _gk15(f, a, b):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     g7 = 0.0
     k15 = 0.0
     for node, wg, wk in _GK15:
-        fx = _call(f, mid + half * node)
+        try:
+            fx = f(mid + half * node)
+        except OverflowError:
+            fx = math.inf
         g7 += wg * fx
         k15 += wk * fx
     raw = abs(k15 - g7) * half
@@ -156,6 +156,7 @@ def _tanh_sinh_nodes(t):
 _MAX_LEVEL = 9
 _FINE_H = 0.5 ** (_MAX_LEVEL + 1)  # mesh of the finest level
 _FINE_K = int(_T_MAX / _FINE_H)    # last node index on the finest mesh
+_TAIL_J = int(2.0 / _FINE_H)       # index of t = 2, where tails may be truncated
 # (delta, weight) at t = j * _FINE_H; level l reads every 2^(9-l)-th entry,
 # since its nodes k * 2^-(l+1) are exact in binary
 _NODES = [_tanh_sinh_nodes(j * _FINE_H) for j in range(_FINE_K + 1)]
@@ -180,7 +181,10 @@ def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
     value = 0.0
     err = math.inf
 
-    fx0 = _call(f, a + half)  # t = 0 node (panel midpoint)
+    try:
+        fx0 = f(a + half)  # t = 0 node (panel midpoint)
+    except OverflowError:
+        fx0 = math.inf
     evals = 1
     if not math.isfinite(fx0):
         return fx0, abs(fx0), evals, STATUS_DIVERGENT
@@ -195,6 +199,8 @@ def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
 
         for side in (-1, +1):
             flagged = left_singular if side < 0 else right_singular
+            origin, step = (a, half) if side < 0 else (b, -half)  # b + (-h)d == b - hd
+            track = level == 0 and flagged
             values = seen[side]
             partial = 0.0
             small_streak = 0
@@ -203,11 +209,10 @@ def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
             wall_hit = False
             j = stride
             while j <= _FINE_K:
-                t = j * _FINE_H
                 delta, w = _NODES[j]
                 fx = values.get(j)
                 if fx is None:
-                    x = a + half * delta if side < 0 else b - half * delta
+                    x = origin + step * delta
                     if x <= a or x >= b:
                         # node rounded onto the endpoint: the remaining tail
                         # is below floating-point resolution
@@ -215,7 +220,10 @@ def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
                         break
                     if w == 0.0:
                         break
-                    fx = _call(f, x)
+                    try:
+                        fx = f(x)
+                    except OverflowError:
+                        fx = math.inf
                     evals += 1
                     if not math.isfinite(fx):
                         if flagged:
@@ -225,11 +233,12 @@ def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
                 term = w * fx
                 partial += term
                 saw_nonzero = saw_nonzero or term != 0.0
-                if level == 0 and flagged:
+                if track:
+                    t = j * _FINE_H
                     while next_mark <= 4.5 and t >= next_mark - 1e-12:
                         marks.append(abs(partial))
                         next_mark += 0.5
-                if t >= 2.0 and abs(term) * contrib_scale < trunc:
+                if j >= _TAIL_J and abs(term) * contrib_scale < trunc:
                     small_streak += 1
                     if small_streak >= 3:
                         break
@@ -237,7 +246,7 @@ def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
                     small_streak = 0
                 j += stride
             total += partial
-            if level == 0 and flagged and len(marks) >= 2:
+            if track and len(marks) >= 2:
                 ratios = [
                     marks[i + 1] / marks[i] if marks[i] > 0 else 0.0
                     for i in range(len(marks) - 1)

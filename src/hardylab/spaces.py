@@ -23,8 +23,8 @@ from .errors import (
     NoFiniteBracketError,
 )
 from .expr import (
-    SCAN_GRID, Expr, Interval, abs_, compile_fn, differentiate, eval_grid, golden_min, pow_,
-    singular_points,
+    SCAN_GRID, Expr, Interval, abs_, compile_fn, compile_integrand, differentiate, eval_grid,
+    golden_min, pow_, singular_points,
 )
 from .quadrature import (
     DEFAULT_TOL,
@@ -43,11 +43,14 @@ EXHAUSTION_LEVELS = (4, 16, 64)
 class Integrand:
     """A function to integrate, zero outside ``support``, with the interior
     points where it is not smooth.  ``fn`` is called only strictly inside
-    the support, so it need not decide where it vanishes."""
+    the support, so it need not decide where it vanishes.  With ``tlogt``
+    the function is ``t log t`` of fn's value ``t``, extended by 0 for
+    ``t <= 0``."""
 
     fn: Callable[[float], float]
     support: Interval
     split_points: tuple = ()
+    tlogt: bool = False
 
 
 @dataclass(frozen=True)
@@ -150,6 +153,32 @@ def _probe_integrability(vp: VariableExponent) -> None:
                 )
 
 
+# The generated test under which an indicator (its expression's slot in
+# ``{}``) zeroes the density: NaN zeroes a 'positive' one, keeps a 'nonzero' one.
+INDICATOR_FAILS = {"positive": "not {} > 0.0", "nonzero": "{} == 0.0"}
+# The body of modular's integrand per (tlogt, indicator mode or None without
+# a measure): |t|^p with p in {0}, then the density {2} where the indicator {1} holds.
+_MODULAR = {
+    (tlogt, mode): (
+        ("s = f(x)\nif s <= 0.0:\n    return 0.0\nt = s * log(s)\n" if tlogt else "t = f(x)\n")
+        + "if t == 0.0:\n    return 0.0\nbase = abs(t) ** {0}\n"
+        + ("return base\n" if mode is None else "if base == 0.0:\n    return 0.0\n"
+           f"if {INDICATOR_FAILS[mode].format('{1}')}:\n    return base * 0.0\n"
+           "return base * {2}\n")
+    )
+    for tlogt in (False, True) for mode in (None, *INDICATOR_FAILS)
+}
+
+
+def modular_integrand(f: Integrand, p: Expr, mu=None) -> Callable[[float], float]:
+    """``|f|^p`` times mu's density, generated around ``f.fn`` with these
+    short-cuts in this order: ``f == 0`` gives 0, then p, ``|f|^p == 0``
+    gives 0, the indicator, and the density where it holds (else 0)."""
+    mode, chk = (None, None) if mu is None else mu.indicator
+    trees = (p,) if mu is None else (p, chk, mu.density)
+    return compile_integrand(_MODULAR[f.tlogt, mode], trees)(f.fn)
+
+
 def modular(
     f: Integrand,
     vp: VariableExponent,
@@ -164,10 +193,6 @@ def modular(
     quadrature splits.  Both finite ends are integrated as singular, so
     ``f.fn`` is called only strictly inside the support.
     """
-    fn = f.fn
-    p_fn = compile_fn(vp.p)
-    dens = mu.density_fn() if mu is not None else None
-
     lo, hi = max(vp.domain.lo, f.support.lo), min(vp.domain.hi, f.support.hi)
     splits = {*vp.split_points, *f.split_points}
     if mu is not None:
@@ -175,20 +200,9 @@ def modular(
     if not lo < hi:
         return QuadratureResult(0.0, 0.0, 0, "converged")
 
-    def integrand(x):
-        v = fn(x)
-        if v == 0.0:
-            return 0.0
-        base = abs(v) ** p_fn(x)
-        if dens is None:
-            return base
-        if base == 0.0:
-            return 0.0
-        return base * dens(x)
-
     flags = (math.isfinite(lo), math.isfinite(hi))
     return integrate(
-        integrand,
+        modular_integrand(f, vp.p, mu),
         Interval(lo, hi),
         split_at=sorted(splits),
         endpoint_singular=flags,

@@ -29,6 +29,8 @@ from .expr import (
     _fn_zeros,
     abs_,
     compile_fn,
+    compile_integrand,
+    const,
     differentiate,
     div,
     eval_grid,
@@ -46,7 +48,7 @@ from .quadrature import (
     ZERO_RESULT,
     integrate,
 )
-from .spaces import Integrand, modular
+from .spaces import INDICATOR_FAILS, Integrand, modular
 
 PASS = "pass"
 FAIL = "fail"
@@ -154,26 +156,29 @@ def tent(center: float, halfwidth: float, height: float = 1.0) -> TestFunction:
 
 
 def _ppoly_fn(pp):
-    """Scalar evaluation of a SciPy ``PPoly``, equal to ``float(pp(x))`` bit
-    for bit: the same interval (half-open, the last one closed, ends
-    extrapolated) and the same power-sum order, without SciPy's per-call
-    array overhead."""
+    """Scalar evaluation of a cubic or quadratic SciPy ``PPoly``, equal to
+    ``float(pp(x))`` bit for bit: the same interval (half-open, the last one
+    closed, ends extrapolated) and the same power sum from the constant term
+    up, without SciPy's per-call array overhead."""
     knots = pp.x.tolist()
     last = len(knots) - 2
     # per interval, the coefficients from the constant term up
-    coeffs = [row[::-1] for row in pp.c.T.tolist()]
+    coeffs = [tuple(row[::-1]) for row in pp.c.T.tolist()]
 
-    def ev(x):
-        i = min(max(bisect_right(knots, x) - 1, 0), last)
+    def cubic(x):
+        i = bisect_right(knots, x, 1, last + 1) - 1
         s = x - knots[i]
-        res = 0.0
-        z = 1.0
-        for c in coeffs[i]:
-            res += c * z
-            z *= s
-        return res
+        c0, c1, c2, c3 = coeffs[i]
+        z2 = s * s
+        return 0.0 + c0 + c1 * s + c2 * z2 + c3 * (z2 * s)
 
-    return ev
+    def quadratic(x):
+        i = bisect_right(knots, x, 1, last + 1) - 1
+        s = x - knots[i]
+        c0, c1, c2 = coeffs[i]
+        return 0.0 + c0 + c1 * s + c2 * (s * s)
+
+    return {4: cubic, 3: quadratic}[len(pp.c)]
 
 
 def spline_bump(support: Interval, knot_values) -> TestFunction:
@@ -282,17 +287,11 @@ def _require_support_inside(tf: TestFunction, domain: Interval):
 
 
 def _tlogt_view(tf: TestFunction) -> Integrand:
-    def g(x):
-        v = tf._f(x)
-        if v <= 0.0:
-            return 0.0  # t log t extended by 0 at t = 0
-        return v * math.log(v)
-
-    # t log t vanishes again at t = 1; |g|^p has a kink wherever tf crosses
-    # 1, so those crossings become quadrature splits
+    # t log t vanishes again at t = 1; |t log t|^p has a kink wherever tf
+    # crosses 1, so those crossings become quadrature splits
     xs = tf.support.midpoint_array(TEST_GRID)
     crossings, _ = _fn_zeros(lambda x: tf._f(x) - 1.0, xs, tf.grid(xs) - 1.0)
-    return Integrand(g, tf.support, tuple(sorted(set(tf.split_points) | set(crossings))))
+    return Integrand(tf._f, tf.support, tuple(sorted({*tf.split_points, *crossings})), tlogt=True)
 
 
 def _with_retry(run, tol: float) -> VerificationReport:
@@ -327,56 +326,56 @@ def verify_caccioppoli(inst: HardyInstance, phi: TestFunction, tol: float = DEFA
     return _with_retry(partial(_run_caccioppoli, inst, phi, mu1), tol)
 
 
+# phi times the left weight, per mode of the weight's indicator: {0} is the
+# indicator's expression and {1} the density
+_CACCIOPPOLI_LHS = {
+    mode: f"t = f(x)\nif t == 0.0:\n    return 0.0\nif {fails.format('{0}')}:\n    return 0.0\n"
+    "d = {1}\nreturn 0.0 if d == 0.0 else d * t\n"
+    for mode, fails in INDICATOR_FAILS.items()
+}
+# |phi'|^p phi^(1-p) times the right weight; {0} to {4} are p, u, u', beta and
+# sigma.  Where phi or phi' vanishes, below the resolution of the edge, the
+# limit is 0 under the edge-exponent hypothesis.  Log space: |phi'|^p and
+# phi^(1-p) under/overflow near the edge while their product is tame, and
+# (p-1) log(p-1) takes its limit value 0 where p touches 1.
+_CACCIOPPOLI_RHS = """\
+dv = df(x)
+pv = {0}
+phiv = f(x)
+if phiv <= 0.0 or dv == 0.0:
+    return 0.0
+uv = {1}
+if not uv > 0.0:
+    return 0.0
+if {2} == 0.0:
+    return 0.0
+beta = {3}
+bs = beta - {4}
+if bs <= 0.0:
+    return inf
+lp1 = (pv - 1.0) * log(pv - 1.0) if pv > 1.0 else 0.0
+log_total = (lp1 - pv * log(pv) - (pv - 1.0) * log(bs) + (pv - beta - 1.0) * log(uv)
+             + pv * log(abs(dv)) + (1.0 - pv) * log(phiv))
+if log_total < -700.0:
+    return 0.0
+if log_total > 700.0:
+    return inf
+return exp(log_total)
+"""
+
+
+def _caccioppoli_integrands(inst, phi, mu1):
+    """The Caccioppoli integrands, each generated around phi's scalar forms."""
+    mode, chk = mu1.indicator
+    lhs = compile_integrand(_CACCIOPPOLI_LHS[mode], (chk, mu1.density))
+    rhs_trees = (inst.vp.p, inst.u, inst.u_prime, const(inst.beta), inst.sigma)
+    rhs = compile_integrand(_CACCIOPPOLI_RHS, rhs_trees)
+    return lhs(phi._f), rhs(phi._f, phi._df)
+
+
 def _run_caccioppoli(inst, phi, mu1, tol, tol_abs):
-    p_fn = compile_fn(inst.vp.p)
-    dens1 = mu1.density_fn()
-    sigma_fn = compile_fn(inst.sigma)
-    u_fn = compile_fn(inst.u)
-    up_fn = compile_fn(inst.u_prime)
-    beta = inst.beta
-
-    f, df = phi._f, phi._df
+    lhs_integrand, rhs_integrand = _caccioppoli_integrands(inst, phi, mu1)
     splits = sorted(set(mu1.split_points) | set(phi.split_points))
-
-    def lhs_integrand(x):
-        v = f(x)
-        if v == 0.0:
-            return 0.0
-        d = dens1(x)
-        return 0.0 if d == 0.0 else d * v
-
-    def rhs_integrand(x):
-        dv = df(x)
-        pv = p_fn(x)
-        phiv = f(x)
-        if phiv <= 0.0 or dv == 0.0:
-            # below floating-point resolution of the edge; the limit is 0
-            # whenever the edge-exponent hypothesis holds
-            return 0.0
-        uv = u_fn(x)
-        if not uv > 0.0 or up_fn(x) == 0.0:
-            return 0.0
-        bs = beta - sigma_fn(x)
-        if bs <= 0.0:
-            return math.inf
-        # assembled in log space: |phi'|^p and phi^(1-p) individually
-        # under/overflow near the support edge while their product is tame;
-        # (p-1) log(p-1) takes its limit value 0 where p touches 1
-        lp1 = (pv - 1.0) * math.log(pv - 1.0) if pv > 1.0 else 0.0
-        log_total = (
-            lp1
-            - pv * math.log(pv)
-            - (pv - 1.0) * math.log(bs)
-            + (pv - beta - 1.0) * math.log(uv)
-            + pv * math.log(abs(dv))
-            + (1.0 - pv) * math.log(phiv)
-        )
-        if log_total < -700.0:
-            return 0.0
-        if log_total > 700.0:
-            return math.inf
-        return math.exp(log_total)
-
     lhs = integrate(lhs_integrand, phi.support, split_at=splits,
                     endpoint_singular=(True, True), tol=tol, tol_abs=tol_abs)
     rhs = integrate(rhs_integrand, phi.support, split_at=splits,

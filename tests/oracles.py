@@ -1,11 +1,14 @@
 """Reference forms and lookups that only the tests use: the two scalar
 inequalities the weighted ones rest on, the left weight's density core, the
-constant-exponent form of the weights, and one condition of an
-admissibility report.  Not collected (no ``test_`` prefix); test modules
-import it by name."""
+constant-exponent form of the weights, one condition of an admissibility
+report, and the integrands as closures around compiled expressions, which
+the generated integrands must match bit for bit.  Not collected (no
+``test_`` prefix); test modules import it by name."""
+
+import math
 
 from hardylab.errors import InvalidParamsError
-from hardylab.expr import Expr, abs_, const, differentiate, div, log, mul, pow_, sub
+from hardylab.expr import Expr, abs_, compile_fn, const, differentiate, div, log, mul, pow_, sub
 from hardylab.instance import (
     AdmissibilityReport, ConditionReport, HardyInstance, WeightedMeasure, build_measures,
 )
@@ -79,3 +82,97 @@ def condition(report: AdmissibilityReport, name: str) -> ConditionReport:
         if c.name == name:
             return c
     raise KeyError(name)
+
+
+# ---------------------------------------------------------------------------
+# the integrands as closures
+
+
+def density_fn(mu: WeightedMeasure):
+    """The density of ``mu`` where its indicator holds, else 0."""
+    dens = compile_fn(mu.density)
+    mode, e = mu.indicator
+    chk = compile_fn(e)
+    # a NaN indicator zeroes a 'positive' density and keeps a 'nonzero' one
+    if mode == "positive":
+        return lambda x: dens(x) if chk(x) > 0.0 else 0.0
+    return lambda x: 0.0 if chk(x) == 0.0 else dens(x)
+
+
+def tlogt(fn):
+    """``t log t`` of fn's value ``t``, extended by 0 for ``t <= 0``."""
+    def g(x):
+        v = fn(x)
+        if v <= 0.0:
+            return 0.0
+        return v * math.log(v)
+
+    return g
+
+
+def modular_integrand(fn, p: Expr, mu: WeightedMeasure | None = None):
+    """``|fn|^p`` times the density of ``mu``, as ``spaces.modular``
+    integrates it."""
+    p_fn = compile_fn(p)
+    dens = density_fn(mu) if mu is not None else None
+
+    def integrand(x):
+        v = fn(x)
+        if v == 0.0:
+            return 0.0
+        base = abs(v) ** p_fn(x)
+        if dens is None:
+            return base
+        if base == 0.0:
+            return 0.0
+        return base * dens(x)
+
+    return integrand
+
+
+def caccioppoli_integrands(inst: HardyInstance, phi, mu1: WeightedMeasure):
+    """The left and the gradient-side integrand of the Caccioppoli
+    inequality for the test function ``phi``."""
+    p_fn = compile_fn(inst.vp.p)
+    dens1 = density_fn(mu1)
+    sigma_fn = compile_fn(inst.sigma)
+    u_fn = compile_fn(inst.u)
+    up_fn = compile_fn(inst.u_prime)
+    beta = inst.beta
+    f, df = phi._f, phi._df
+
+    def lhs_integrand(x):
+        v = f(x)
+        if v == 0.0:
+            return 0.0
+        d = dens1(x)
+        return 0.0 if d == 0.0 else d * v
+
+    def rhs_integrand(x):
+        dv = df(x)
+        pv = p_fn(x)
+        phiv = f(x)
+        if phiv <= 0.0 or dv == 0.0:
+            return 0.0
+        uv = u_fn(x)
+        if not uv > 0.0 or up_fn(x) == 0.0:
+            return 0.0
+        bs = beta - sigma_fn(x)
+        if bs <= 0.0:
+            return math.inf
+        lp1 = (pv - 1.0) * math.log(pv - 1.0) if pv > 1.0 else 0.0
+        log_total = (
+            lp1
+            - pv * math.log(pv)
+            - (pv - 1.0) * math.log(bs)
+            + (pv - beta - 1.0) * math.log(uv)
+            + pv * math.log(abs(dv))
+            + (1.0 - pv) * math.log(phiv)
+        )
+        if log_total < -700.0:
+            return 0.0
+        if log_total > 700.0:
+            return math.inf
+        return math.exp(log_total)
+
+    return lhs_integrand, rhs_integrand

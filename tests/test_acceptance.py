@@ -16,7 +16,7 @@ from hardylab.report import parse_json
 from hardylab.sharpness import scan
 from hardylab.spaces import Integrand, luxemburg_norm, modular, validate_exponent
 from hardylab.verify import batch_verify, tent, verify_caccioppoli
-from oracles import check_sum_power, check_young
+from oracles import check_sum_power, check_young, density_fn
 
 SIGMA_T3 = 2 * math.exp(-1.5) + 1
 
@@ -118,8 +118,8 @@ def test_criterion_4_classical_constant_recovery():
     inst = preset("constp")  # p = 2, beta = 1, u = x^(1/2), sigma = 0
     mu1, mu2 = build_measures(inst)
     weight_ok = all(
-        abs(mu1.density_fn()(x) * x * x - 0.25) <= 1e-12 and
-        abs(mu2.density_fn()(x) - 1.0) <= 1e-12
+        abs(density_fn(mu1)(x) * x * x - 0.25) <= 1e-12 and
+        abs(density_fn(mu2)(x) - 1.0) <= 1e-12
         for x in (0.3, 1.0, 4.0)
     )
 

@@ -3,6 +3,7 @@ compiler it replaced: identical float bits, or the same first domain error."""
 
 import math
 import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -167,6 +168,21 @@ def test_cached_functions_tell_signed_zeros_apart(fresh_cache):
     assert plus != minus
     assert math.copysign(1.0, compile_fn(plus)(1.0)) == 1.0
     assert math.copysign(1.0, compile_fn(minus)(1.0)) == -1.0
+
+
+def test_signed_zero_constants_compile_to_different_functions(fresh_cache):
+    plus, minus = Expr("const", value=0.0), Expr("const", value=-0.0)
+    assert compile_fn(plus) is not compile_fn(minus)
+    assert _bits(compile_fn(plus)(1.0)) == _bits(0.0)
+    assert _bits(compile_fn(minus)(1.0)) == _bits(-0.0)
+
+
+def test_a_deep_tree_hashes_without_recursion():
+    # each node stores its hash when built, from its children's stored ones
+    e = X
+    for _ in range(5 * sys.getrecursionlimit()):
+        e = Expr("neg", (e,))
+    assert hash(e) == hash(("neg", e.args, b""))
 
 
 def test_a_nan_constant_finds_its_compiled_function_again(fresh_cache):

@@ -17,7 +17,7 @@ from hardylab.instance import (
     weak_pdi_residual,
 )
 from hardylab.verify import tent
-from oracles import condition, constant_exponent_measures, lhs_core_expr
+from oracles import condition, constant_exponent_measures, density_fn, lhs_core_expr
 
 SIGMA_T3 = 2 * math.exp(-1.5) + 1
 
@@ -166,9 +166,9 @@ def test_measures_distance_preset_forms():
     for x in (-0.6, 0.2, 0.8):
         u = M - abs(x)
         p = 2 - math.exp(-x * x)
-        assert mu1.density_fn()(x) == pytest.approx(u ** (-beta - 1), rel=1e-12)
+        assert density_fn(mu1)(x) == pytest.approx(u ** (-beta - 1), rel=1e-12)
         expected2 = u ** (p - beta - 1) * (2 * (p - 1) / (beta - 1)) ** (p - 1)
-        assert mu2.density_fn()(x) == pytest.approx(expected2, rel=1e-12)
+        assert density_fn(mu2)(x) == pytest.approx(expected2, rel=1e-12)
 
 
 def test_measures_reciprocal_preset_forms():
@@ -181,8 +181,8 @@ def test_measures_reciprocal_preset_forms():
         bar_g = sigma + dp * x * math.log(a / x ** 2) - 2 * p + 2
         exp1 = (a / x) ** (p - beta - 1) * x ** (-p) * bar_g
         exp2 = (a / x) ** (p - beta - 1) * (2 * (p - 1) / (beta - sigma)) ** (p - 1)
-        assert mu1.density_fn()(x) == pytest.approx(exp1, rel=1e-10)
-        assert mu2.density_fn()(x) == pytest.approx(exp2, rel=1e-10)
+        assert density_fn(mu1)(x) == pytest.approx(exp1, rel=1e-10)
+        assert density_fn(mu2)(x) == pytest.approx(exp2, rel=1e-10)
 
 
 def test_constant_p_measure_has_no_factor_two():
@@ -192,7 +192,7 @@ def test_constant_p_measure_has_no_factor_two():
     for x in (0.5, 2.0):
         u = x ** 0.7
         expected = ((p - 1) / (beta - sigma)) ** (p - 1) * u ** (p - beta - 1)
-        assert mu2.density_fn()(x) == pytest.approx(expected, rel=1e-12)
+        assert density_fn(mu2)(x) == pytest.approx(expected, rel=1e-12)
 
 
 def test_constant_exponent_measure_relation():
@@ -204,16 +204,16 @@ def test_constant_exponent_measure_relation():
     p, beta, sigma = 3.0, 2.0, 0.5
     c = ((p - 1) / (beta - sigma)) ** (p - 1)
     for x in (0.3, 1.0, 4.0):
-        assert mu2.density_fn()(x) == pytest.approx(c * m2c.density_fn()(x), rel=1e-12)
-        assert m1c.density_fn()(x) == pytest.approx(mu1.density_fn()(x) / c, rel=1e-12)
+        assert density_fn(mu2)(x) == pytest.approx(c * density_fn(m2c)(x), rel=1e-12)
+        assert density_fn(m1c)(x) == pytest.approx(density_fn(mu1)(x) / c, rel=1e-12)
 
 
 def test_indicator_zeroes_density_outside_u_support():
     inst = make_instance(Interval(-1, 1), "2", "max(x, 0)", "0", "1", 2.0)
     mu1, mu2 = build_measures(inst)
-    assert mu1.density_fn()(-0.5) == 0.0
-    assert mu2.density_fn()(-0.5) == 0.0  # u' = 0 on the left half
-    assert mu1.density_fn()(0.5) > 0.0
+    assert density_fn(mu1)(-0.5) == 0.0
+    assert density_fn(mu2)(-0.5) == 0.0  # u' = 0 on the left half
+    assert density_fn(mu1)(0.5) > 0.0
 
 
 def test_unresolvable_u_zero_raises():
@@ -244,7 +244,7 @@ def test_preset_power_negative_alpha():
     for x in (0.7, 1.5):
         # u = 1/x: core = x^(-4) (sigma - 2p + 2), mu1 = |u'|^(p-2) u^(-beta-1) core
         expected = x ** (-4) * (4.0 - 2 * 2.0 + 2) * x ** (-2 * (2.0 - 2)) * x ** 6
-        assert mu1.density_fn()(x) == pytest.approx(expected, rel=1e-10)
+        assert density_fn(mu1)(x) == pytest.approx(expected, rel=1e-10)
 
 
 def test_preset_degenerate_power_is_vacuous():
@@ -268,8 +268,8 @@ def test_classical_weight_from_constant_preset():
     inst = preset("constp")
     mu1, mu2 = build_measures(inst)
     for x in (0.25, 1.0, 5.0):
-        assert mu1.density_fn()(x) * x * x == pytest.approx(0.25, rel=1e-12)
-        assert mu2.density_fn()(x) == pytest.approx(1.0, rel=1e-12)
+        assert density_fn(mu1)(x) * x * x == pytest.approx(0.25, rel=1e-12)
+        assert density_fn(mu2)(x) == pytest.approx(1.0, rel=1e-12)
 
 
 SHIPPED_PRESETS = [
@@ -299,7 +299,7 @@ def test_measure_densities_nonnegative_on_grids():
     for name, kwargs in SHIPPED_PRESETS:
         inst = preset(name, **kwargs)
         mu1, mu2 = build_measures(inst)
-        f1, f2 = mu1.density_fn(), mu2.density_fn()
+        f1, f2 = density_fn(mu1), density_fn(mu2)
         for x in inst.domain.midpoint_grid(400):
             assert f1(x) >= -1e-12, (name, x)
             assert f2(x) >= 0.0, (name, x)

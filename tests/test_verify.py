@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
-from hardylab import quadrature, sharpness, verify
+from hardylab import sharpness, spaces, verify
 from hardylab.cli import SCENARIOS, build_instance
 from hardylab.errors import (
     EvalDomainError,
@@ -32,7 +32,7 @@ from hardylab.verify import (
     verify_caccioppoli,
     verify_hardy,
 )
-from oracles import check_sum_power, check_young
+from oracles import check_sum_power, check_young, density_fn
 
 
 def test_young_equality_case():
@@ -137,6 +137,15 @@ def test_spline_bump_scalar_path_equals_scipy(n):
             assert tf.derivative(x) == 2.0 * v * float(ds(x))
 
 
+def test_spline_scalar_path_extrapolates_like_scipy():
+    s = CubicSpline([0.0, 0.5, 1.0, 2.0], [0.0, 1.0, 0.5, 0.0], bc_type="clamped")
+    for pp in (s, s.derivative()):
+        scalar = verify._ppoly_fn(pp)
+        for x in (-3.0, -1e-300, 0.0, 2.0, 2.5, 1e300, -math.inf, math.inf, math.nan):
+            got, want = scalar(x), float(pp(x))
+            assert got == want or math.isnan(got) and math.isnan(want), x
+
+
 def test_bump_rejects_bad_parameters():
     with pytest.raises(InvalidTestFunctionError):
         power_bump(0.0, -1.0)
@@ -226,7 +235,7 @@ def test_rhs_weight_factor_decreases_in_beta():
     high = preset("cor51", M=1.0, p="2-exp(-x^2)", sigma="1", beta=3.0)
     _, mu2_low = build_measures(low)
     _, mu2_high = build_measures(high)
-    f_low, f_high = mu2_low.density_fn(), mu2_high.density_fn()
+    f_low, f_high = density_fn(mu2_low), density_fn(mu2_high)
     for x in Interval(-1, 1).midpoint_grid(64):
         u = 1.0 - abs(x)
         p = 2 - math.exp(-x * x)
@@ -325,9 +334,14 @@ def test_indeterminate_first_pass_is_retried_once(distance_instance, monkeypatch
 
 
 def test_retried_case_counts_the_evaluations_of_both_passes(distance_instance, monkeypatch):
+    # every integrand a Hardy case integrates passes through spaces.integrate
     calls = []
-    real_call = quadrature._call
-    monkeypatch.setattr(quadrature, "_call", lambda f, x: calls.append(x) or real_call(f, x))
+    real_integrate = spaces.integrate
+
+    def counting_integrate(f, *args, **kwargs):
+        return real_integrate(lambda x: calls.append(x) or f(x), *args, **kwargs)
+
+    monkeypatch.setattr(spaces, "integrate", counting_integrate)
     verdicts = []
     real_verdict = verify._verdict
 
