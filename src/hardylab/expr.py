@@ -732,15 +732,16 @@ def golden_min(fn, a, b, iters):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def _fn_zeros(fn, xs: np.ndarray, vals: np.ndarray) -> tuple[list[float], list[float]]:
-    """Bracketed zeros of ``fn`` along the sample points ``xs``, where it
-    takes the values ``vals`` (NaN outside its domain), plus grazing
-    near-zeros (strict local minima of |fn| that refine to ~0 without a sign
-    change) that cannot be bracketed.  The arrays only pick the cells;
-    ``brentq`` and the golden-section search refine on the scalar ``fn``."""
+def _bracketed_zeros(fn, xs: np.ndarray, vals: np.ndarray) -> tuple[list[float], list[float]]:
+    """Zeros of ``fn`` that its values ``vals`` at the sample points ``xs``
+    (NaN outside its domain) bracket: each exact zero, but of a run of them
+    only the two ends (nothing inside a run breaks smoothness), and a
+    ``brentq`` root in each cell where the sign changes, or, where the scalar
+    ``fn`` cannot bracket it, the cell's midpoint as suspected."""
     a, b = vals[:-1], vals[1:]
     both = ~(np.isnan(a) | np.isnan(b))
     zero = both & (a == 0.0)
+    zero[1:] &= (a[:-1] != 0.0) | (b[1:] != 0.0)  # not flanked by two zeros
     # compare signs: the product a * b underflows to zero for tiny values
     change = both & (((a < 0.0) & (b > 0.0)) | ((a > 0.0) & (b < 0.0)))
     seen: list[float] = []
@@ -756,11 +757,22 @@ def _fn_zeros(fn, xs: np.ndarray, vals: np.ndarray) -> tuple[list[float], list[f
             suspected.append(0.5 * (lo + hi))
     if len(vals) and vals[-1] == 0.0:
         seen.append(float(xs[-1]))
-    # refine the deepest interior |fn| dips; a dip that reaches (near) zero
-    # without a sign change is a grazing zero we cannot bracket.  A NaN
+    return seen, suspected
+
+
+def _fn_zeros(fn, xs: np.ndarray, vals: np.ndarray) -> tuple[list[float], list[float]]:
+    """:func:`_bracketed_zeros` plus grazing near-zeros (strict local minima
+    of |fn| that refine to ~0 without a sign change) that cannot be
+    bracketed.  The arrays only pick the cells; ``brentq`` and the
+    golden-section search refine on the scalar ``fn``."""
+    seen, suspected = _bracketed_zeros(fn, xs, vals)
+    # refine the deepest interior |fn| dips: nonzero samples below their
+    # left neighbour and not above their right one, of the same sign.  A dip
+    # that reaches (near) zero is a grazing zero we cannot bracket.  A NaN
     # neighbour fails the comparisons, so it never makes a dip.
     mag = np.abs(vals)
-    dip = both[1:] & ~zero[1:] & ~change[1:] & (mag[:-2] > mag[1:-1]) & (mag[1:-1] <= mag[2:])
+    m = mag[1:-1]
+    dip = (m > 0.0) & (mag[:-2] > m) & (m <= mag[2:]) & ((vals[1:-1] > 0.0) == (vals[2:] > 0.0))
     dips = np.flatnonzero(dip) + 1
     for i in dips[np.argsort(mag[dips], kind="stable")][:32]:
         local = mag[i - 1] + mag[i + 1]

@@ -167,12 +167,12 @@ def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
 
     Levels halve the mesh in the auxiliary variable; each side's tail is
     truncated once terms decay below the panel tolerance.  Level l + 1's
-    even nodes are level l's nodes, so integrand values (and the midpoint's)
-    are kept per panel and every node is evaluated once; each level's sum is
-    still formed over all of its nodes in order.  On a flagged singular side,
-    partial sums are tracked at half-unit tail marks; eight consecutive
-    doublings (or any non-finite term) flag the panel as holding a
-    non-integrable singularity.
+    even nodes are level l's nodes, so each node's term w * f (and the
+    midpoint's value) is kept per panel and every node is evaluated once;
+    each level's sum is still formed over all of its nodes in order.  On a
+    flagged singular side, partial sums are tracked at half-unit tail marks;
+    eight consecutive doublings (or any non-finite term) flag the panel as
+    holding a non-integrable singularity.
     """
     half = 0.5 * (b - a)
     # truncation threshold on a node's actual contribution (term * h * half)
@@ -189,7 +189,7 @@ def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
     if not math.isfinite(fx0):
         return fx0, abs(fx0), evals, STATUS_DIVERGENT
     saw_nonzero = fx0 != 0.0
-    seen = {-1: {}, +1: {}}  # node index on the finest mesh -> f, per side
+    seen = {-1: {}, +1: {}}  # node index on the finest mesh -> w * f, per side
     for level in range(_MAX_LEVEL + 1):
         h = 0.5 ** (level + 1)
         stride = 1 << (_MAX_LEVEL - level)
@@ -201,7 +201,7 @@ def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
             flagged = left_singular if side < 0 else right_singular
             origin, step = (a, half) if side < 0 else (b, -half)  # b + (-h)d == b - hd
             track = level == 0 and flagged
-            values = seen[side]
+            terms = seen[side]
             partial = 0.0
             small_streak = 0
             marks = []  # |partial sum| at t = 0.5, 1.0, ..., 4.5
@@ -209,9 +209,9 @@ def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
             wall_hit = False
             j = stride
             while j <= _FINE_K:
-                delta, w = _NODES[j]
-                fx = values.get(j)
-                if fx is None:
+                term = terms.get(j)
+                if term is None:
+                    delta, w = _NODES[j]
                     x = origin + step * delta
                     if x <= a or x >= b:
                         # node rounded onto the endpoint: the remaining tail
@@ -229,10 +229,9 @@ def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
                         if flagged:
                             return math.inf, math.inf, evals, STATUS_DIVERGENT
                         return fx, abs(fx), evals, STATUS_DIVERGENT
-                    values[j] = fx
-                term = w * fx
+                    term = terms[j] = w * fx
+                    saw_nonzero = saw_nonzero or term != 0.0
                 partial += term
-                saw_nonzero = saw_nonzero or term != 0.0
                 if track:
                     t = j * _FINE_H
                     while next_mark <= 4.5 and t >= next_mark - 1e-12:

@@ -26,7 +26,7 @@ from .errors import (
 from .expr import (
     Expr,
     Interval,
-    _fn_zeros,
+    _bracketed_zeros,
     abs_,
     compile_fn,
     compile_integrand,
@@ -155,32 +155,6 @@ def tent(center: float, halfwidth: float, height: float = 1.0) -> TestFunction:
     )
 
 
-def _ppoly_fn(pp):
-    """Scalar evaluation of a cubic or quadratic SciPy ``PPoly``, equal to
-    ``float(pp(x))`` bit for bit: the same interval (half-open, the last one
-    closed, ends extrapolated) and the same power sum from the constant term
-    up, without SciPy's per-call array overhead."""
-    knots = pp.x.tolist()
-    last = len(knots) - 2
-    # per interval, the coefficients from the constant term up
-    coeffs = [tuple(row[::-1]) for row in pp.c.T.tolist()]
-
-    def cubic(x):
-        i = bisect_right(knots, x, 1, last + 1) - 1
-        s = x - knots[i]
-        c0, c1, c2, c3 = coeffs[i]
-        z2 = s * s
-        return 0.0 + c0 + c1 * s + c2 * z2 + c3 * (z2 * s)
-
-    def quadratic(x):
-        i = bisect_right(knots, x, 1, last + 1) - 1
-        s = x - knots[i]
-        c0, c1, c2 = coeffs[i]
-        return 0.0 + c0 + c1 * s + c2 * (s * s)
-
-    return {4: cubic, 3: quadratic}[len(pp.c)]
-
-
 def spline_bump(support: Interval, knot_values) -> TestFunction:
     """Square of a clamped cubic spline through random interior knots.
 
@@ -196,15 +170,33 @@ def spline_bump(support: Interval, knot_values) -> TestFunction:
     xs = np.linspace(support.lo, support.hi, n + 2)
     ys = np.concatenate([[0.0], values, [0.0]])
     spline = CubicSpline(xs, ys, bc_type="clamped")
-    s = _ppoly_fn(spline)
-    ds = _ppoly_fn(spline.derivative())
+    # The scalar forms equal ``v * v`` and ``2.0 * v * dv`` for ``v =
+    # float(spline(x))`` and ``dv = float(spline.derivative()(x))`` bit for
+    # bit: one search finds the interval (half-open, the last one closed, ends
+    # extrapolated) of both, which share their knots, and the power sums run
+    # from the constant term up, without SciPy's per-call array overhead.
+    knots = spline.x.tolist()
+    last = len(knots) - 2
+    # per interval, the coefficients from the constant term up
+    coeffs = [tuple(row[::-1]) for row in spline.c.T.tolist()]
+    dcoeffs = [tuple(row[::-1]) for row in spline.derivative().c.T.tolist()]
 
     def f(x):
-        v = s(x)
+        i = bisect_right(knots, x, 1, last + 1) - 1
+        s = x - knots[i]
+        c0, c1, c2, c3 = coeffs[i]
+        z2 = s * s
+        v = 0.0 + c0 + c1 * s + c2 * z2 + c3 * (z2 * s)
         return v * v
 
     def df(x):
-        return 2.0 * s(x) * ds(x)
+        i = bisect_right(knots, x, 1, last + 1) - 1
+        s = x - knots[i]
+        c0, c1, c2, c3 = coeffs[i]
+        d0, d1, d2 = dcoeffs[i]
+        z2 = s * s
+        v = 0.0 + c0 + c1 * s + c2 * z2 + c3 * (z2 * s)
+        return 2.0 * v * (0.0 + d0 + d1 * s + d2 * z2)
 
     def f_grid(xs):
         v = spline(xs)
@@ -288,9 +280,10 @@ def _require_support_inside(tf: TestFunction, domain: Interval):
 
 def _tlogt_view(tf: TestFunction) -> Integrand:
     # t log t vanishes again at t = 1; |t log t|^p has a kink wherever tf
-    # crosses 1, so those crossings become quadrature splits
+    # crosses 1, so those crossings become quadrature splits (a touch of 1
+    # leaves it smooth)
     xs = tf.support.midpoint_array(TEST_GRID)
-    crossings, _ = _fn_zeros(lambda x: tf._f(x) - 1.0, xs, tf.grid(xs) - 1.0)
+    crossings, _ = _bracketed_zeros(lambda x: tf._f(x) - 1.0, xs, tf.grid(xs) - 1.0)
     return Integrand(tf._f, tf.support, tuple(sorted({*tf.split_points, *crossings})), tlogt=True)
 
 

@@ -230,6 +230,29 @@ def test_zero_scan_brackets_a_crossing_of_tiny_values():
     assert scan.suspected == []
 
 
+def test_zero_scan_reports_only_the_ends_of_a_run_of_exact_zeros():
+    # nothing inside a run of exact zeros breaks smoothness
+    iv = Interval(0, 1)
+    xs = expr._scan_grid(iv)
+    run = xs[xs <= 0.5]
+    scan = zero_scan(parse("max(x - 0.5, 0)"), iv)
+    assert scan.points == [0.0, run[-1]]
+    assert scan.suspected == []
+
+
+def test_zero_scan_still_reports_isolated_zeros_and_sign_changes_next_to_a_run():
+    # exact zeros at both ends of the closure and at the grid midpoint
+    # 1024.5/4096, a sign change at 0.3 and a run of zeros on [0.5, 0.7]
+    iv = Interval(0, 1)
+    xs = expr._scan_grid(iv)
+    run = xs[(xs >= 0.5) & (xs <= 0.7)]
+    e = parse("x * (x - 1) * (x - 0.2501220703125) * (x - 0.3) * max(abs(x - 0.6) - 0.1, 0)")
+    scan = zero_scan(e, iv)
+    assert scan.points == [0.0, 0.2501220703125, pytest.approx(0.3, abs=1e-14),
+                           run[0], run[-1], 1.0]
+    assert scan.suspected == []
+
+
 def _counting_compile(monkeypatch):
     compiled = []
     real = expr.compile_fn

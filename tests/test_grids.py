@@ -32,7 +32,8 @@ def _fn_zeros_loop(fn, xs):
         if math.isnan(a) or math.isnan(b):
             continue
         if a == 0.0:
-            seen.append(xs[i])
+            if not (i > 0 and vals[i - 1] == 0.0 and b == 0.0):  # not inside a run
+                seen.append(xs[i])
         elif a * b < 0.0:
             try:
                 seen.append(float(brentq(fn, xs[i], xs[i + 1], xtol=1e-14, rtol=8.9e-16)))
@@ -171,6 +172,9 @@ def test_fn_zeros_equals_loop_on_random_values(seed):
     for i in rng.choice(np.arange(2, n - 2), size=12, replace=False):
         depth = 10.0 ** rng.uniform(-14, -2)
         vals[i - 1 : i + 2] = np.array([1.0, depth, 1.0]) * rng.choice([-1.0, 1.0])
+    # runs of exact zeros, which may reach the last sample
+    for start in rng.choice(np.arange(n - 2), size=3, replace=False):
+        vals[start : start + rng.integers(2, 9)] = 0.0
     fn = _piecewise_linear(xs, vals)
     assert expr._fn_zeros(fn, xs, vals) == _fn_zeros_loop(fn, xs.tolist())
 

@@ -216,6 +216,16 @@ def test_indicator_zeroes_density_outside_u_support():
     assert density_fn(mu1)(0.5) > 0.0
 
 
+def test_measures_split_only_at_the_ends_of_an_underflowed_zero_run():
+    # p' = 2x exp(-x^2) underflows to exactly 0 beyond x = 27.3: the scan
+    # samples from there on are one run of zeros, split at its ends only
+    inst = preset("cor55", p="2-exp(-x^2)", sigma=repr(SIGMA_T3), beta=SIGMA_T3 + 1,
+                  domain=Interval(0, math.inf))
+    for mu in build_measures(inst):
+        assert {0.0, 27.3046875} <= set(mu.split_points)
+        assert len(mu.split_points) <= 3
+
+
 def test_unresolvable_u_zero_raises():
     inst = make_instance(Interval(0, 1), "2", "(x-0.5)^2", None, "1", 2.0)
     with pytest.raises(ZeroSetUnresolvedError):

@@ -116,33 +116,38 @@ def test_spline_bump_nonnegative_and_clamped():
         assert tf.derivative(x) == pytest.approx(fd, abs=1e-5)
 
 
+def _scipy_spline(support, values):
+    """The clamped spline that ``spline_bump`` squares, and its derivative."""
+    knots = np.linspace(support.lo, support.hi, len(values) + 2)
+    s = CubicSpline(knots, np.concatenate([[0.0], values, [0.0]]), bc_type="clamped")
+    return knots, s, s.derivative()
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_spline_bump_scalar_path_equals_scipy(n):
     rng = np.random.default_rng(n)
     support = Interval(-0.3, 1.7)
     values = rng.uniform(0.2, 1.2, size=n)
-    knots = np.linspace(support.lo, support.hi, n + 2)
-    s = CubicSpline(knots, np.concatenate([[0.0], values, [0.0]]), bc_type="clamped")
-    ds = s.derivative()
-    scalar_s, scalar_ds = verify._ppoly_fn(s), verify._ppoly_fn(ds)
+    knots, s, ds = _scipy_spline(support, values)
     tf = spline_bump(support, values)
     points = [float(x) for x in rng.uniform(support.lo, support.hi, 500)]
     points += [float(x) for x in knots] + [support.lo, support.hi]
     for x in points:
-        assert scalar_s(x) == float(s(x))
-        assert scalar_ds(x) == float(ds(x))
+        v = float(s(x))
+        assert tf._f(x) == v * v
+        assert tf._df(x) == 2.0 * v * float(ds(x))
         if support.lo < x < support.hi:
-            v = float(s(x))
             assert tf(x) == v * v
             assert tf.derivative(x) == 2.0 * v * float(ds(x))
 
 
 def test_spline_scalar_path_extrapolates_like_scipy():
-    s = CubicSpline([0.0, 0.5, 1.0, 2.0], [0.0, 1.0, 0.5, 0.0], bc_type="clamped")
-    for pp in (s, s.derivative()):
-        scalar = verify._ppoly_fn(pp)
-        for x in (-3.0, -1e-300, 0.0, 2.0, 2.5, 1e300, -math.inf, math.inf, math.nan):
-            got, want = scalar(x), float(pp(x))
+    support, values = Interval(0.0, 2.0), np.array([1.0, 0.5])
+    _, s, ds = _scipy_spline(support, values)
+    tf = spline_bump(support, values)
+    for x in (-3.0, -1e-300, 0.0, 2.0, 2.5, 1e300, -math.inf, math.inf, math.nan):
+        v = float(s(x))
+        for got, want in ((tf._f(x), v * v), (tf._df(x), 2.0 * v * float(ds(x)))):
             assert got == want or math.isnan(got) and math.isnan(want), x
 
 
