@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import os
 import sys
@@ -397,6 +398,7 @@ def cmd_list_presets(cfg: dict) -> int:
 # entry point
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hardylab",

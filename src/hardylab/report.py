@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import __version__
@@ -89,7 +89,7 @@ def _decode(value):
 
 
 def emit_json(record: RunRecord) -> bytes:
-    doc = _encode(asdict(record))
+    doc = _encode(vars(record))
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False).encode(
         "utf-8"
     ) + b"\n"

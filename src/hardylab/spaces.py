@@ -217,6 +217,8 @@ NORM_TOL = 1e-9
 NORM_TOL_ABS = 1e-13
 # Half-width, in log(lambda), added to the bracket from the sampled extrema.
 BRACKET_SLACK = 1e-3
+# Secant steps a norm takes before it falls back to the bracket and Brent.
+SECANT_STEPS = 8
 
 
 def luxemburg_norm(f: Callable[[float], float], vp: VariableExponent) -> float:
@@ -228,11 +230,14 @@ def luxemburg_norm(f: Callable[[float], float], vp: VariableExponent) -> float:
     Lemma 3.2.5).  A constant exponent gives ``rho^(1/p)`` by homogeneity,
     corrected once at the scale of the answer when ``rho`` is so small that
     the absolute quadrature floor bounded its error.  For a variable exponent
-    Brent's method solves ``log modular(f / e^t) = 0``, convex in ``t`` with
-    slope in ``[-p_plus, -p_minus]``, to 1e-10 relative on lambda.  The
-    extrema are sampled, not proven, so the widened bracket's ends are
-    halved or doubled until they straddle the root; halving below 1e-15
-    returns 0.
+    secant steps solve ``g(t) = log modular(f / e^t) = 0``, convex in ``t``
+    with slope in ``[-p_plus, -p_minus]`` and nearly linear, from the known
+    point ``(0, log rho)`` and the root for the mean exponent, until a step
+    moves ``t`` by at most 1e-10.  A step outside the widened bracket, a
+    non-finite or flat ``g`` or ``SECANT_STEPS`` steps fall back to Brent's
+    method on the bracket, to 1e-10 relative on lambda.  The extrema are
+    sampled, not proven, so the bracket's ends are halved or doubled until
+    they straddle the root; halving below 1e-15 returns 0.
 
     Raises NoFiniteBracketError when ``modular(f)`` is infinite or suspected
     divergent, or when doubling passes ``BRACKET_CAP``.
@@ -265,6 +270,16 @@ def luxemburg_norm(f: Callable[[float], float], vp: VariableExponent) -> float:
     log_rho = math.log(rho)
     ends = (log_rho / vp.p_plus, log_rho / vp.p_minus)
     t_lo, t_hi = min(ends) - BRACKET_SLACK, max(ends) + BRACKET_SLACK
+    t0, g0, t1 = 0.0, log_rho, 2.0 * log_rho / (vp.p_minus + vp.p_plus)
+    for _ in range(SECANT_STEPS):
+        if abs(t1 - t0) <= 1e-10:
+            return math.exp(t1)
+        if not t_lo <= t1 <= t_hi:
+            break
+        g1 = g(t1)
+        if not math.isfinite(g1) or g1 == g0:
+            break
+        t0, g0, t1 = t1, g1, t1 - g1 * (t1 - t0) / (g1 - g0)
     while g(t_lo) <= 0.0:
         t_hi = t_lo
         t_lo -= math.log(2.0)

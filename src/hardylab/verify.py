@@ -177,9 +177,10 @@ def spline_bump(support: Interval, knot_values) -> TestFunction:
     # from the constant term up, without SciPy's per-call array overhead.
     knots = spline.x.tolist()
     last = len(knots) - 2
-    # per interval, the coefficients from the constant term up
+    # per interval, the coefficients from the constant term up; the
+    # derivative's are those PPoly.derivative computes, with factors 1, 2, 3
     coeffs = [tuple(row[::-1]) for row in spline.c.T.tolist()]
-    dcoeffs = [tuple(row[::-1]) for row in spline.derivative().c.T.tolist()]
+    dcoeffs = [(c1, 2.0 * c2, 3.0 * c3) for _, c1, c2, c3 in coeffs]
 
     def f(x):
         i = bisect_right(knots, x, 1, last + 1) - 1

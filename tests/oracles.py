@@ -1,17 +1,31 @@
 """Reference forms and lookups that only the tests use: the two scalar
 inequalities the weighted ones rest on, the left weight's density core, the
 constant-exponent form of the weights, one condition of an admissibility
-report, and the integrands as closures around compiled expressions, which
-the generated integrands must match bit for bit.  Not collected (no
-``test_`` prefix); test modules import it by name."""
+report, the integrands as closures around compiled expressions, which
+the generated integrands must match bit for bit, and the benchmark's
+workloads as a module.  Not collected (no ``test_`` prefix); test modules
+import it by name."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 from hardylab.errors import InvalidParamsError
 from hardylab.expr import Expr, abs_, compile_fn, const, differentiate, div, log, mul, pow_, sub
 from hardylab.instance import (
     AdmissibilityReport, ConditionReport, HardyInstance, WeightedMeasure, build_measures,
 )
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def perfbench_workloads():
+    """``perfbench/workloads.py``, loaded from its file (``perfbench`` is not
+    a package)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def check_young(s1: float, s2: float, p: float, tau: float) -> float:

@@ -9,23 +9,20 @@ as it is.  A change that moves results on purpose (ROADMAP items 1, 6, 8, 9
 and 12 each do) rewrites the file and says so in its change notes:
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints each value it changes (workload, index, old and new, and the
+relative change of a float) before it rewrites the file.
 """
 
-import importlib.util
+import itertools
 import json
+import math
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ROOT / "perfbench" / "workloads.py"
+from oracles import perfbench_workloads
+
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 NORMS = 16
-
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
 
 
 def _run(wl, count):
@@ -39,7 +36,7 @@ def _integral(result):
 
 
 def results() -> dict:
-    workloads = _workloads()
+    workloads = perfbench_workloads()
     wl = workloads.VerifyCases(workloads.REFERENCE_SEED, None)
     cases = [
         [rep.verdict, rep.margin.hex(), *(_integral(r) for r in (rep.lhs, rep.rhs_main, rep.rhs_log))]
@@ -49,16 +46,47 @@ def results() -> dict:
     return {"verify-cases": cases, "luxemburg-norms": norms}
 
 
+def _leaves(entry):
+    if isinstance(entry, list):
+        for item in entry:
+            yield from _leaves(item)
+    else:
+        yield entry
+
+
+def _change(old, new):
+    # floats are stored as their hex form; verdicts and statuses hold no "0x"
+    if isinstance(old, str) and isinstance(new, str) and "0x" in old and "0x" in new:
+        a, b = float.fromhex(old), float.fromhex(new)
+        return f"{old} -> {new} (relative {abs(b - a) / abs(a) if a else math.inf:.2g})"
+    return f"{old!r} -> {new!r}"
+
+
+def changes(stored: dict, got: dict) -> list:
+    """One line per value of ``stored`` that ``got`` changes: the workload,
+    the entry's index and, for an entry with several values, the value's
+    position in it."""
+    lines = []
+    for name in {**stored, **got}:
+        pairs = itertools.zip_longest(stored.get(name, []), got.get(name, []))
+        for i, (old, new) in enumerate(pairs):
+            if old == new:
+                continue
+            if not isinstance(old, list) or not isinstance(new, list):
+                lines.append(f"{name} {i}: {_change(old, new)}")
+                continue
+            leaves = itertools.zip_longest(_leaves(old), _leaves(new))
+            lines += [f"{name} {i}[{k}]: {_change(a, b)}" for k, (a, b) in enumerate(leaves) if a != b]
+    return lines
+
+
 def test_results_are_bit_identical_to_the_stored_ones():
-    stored = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    got = results()
-    for name, want in stored.items():
-        diffs = [i for i, (a, b) in enumerate(zip(got[name], want)) if a != b]
-        assert len(got[name]) == len(want) and diffs == [], (name, diffs)
+    assert changes(json.loads(GOLDEN.read_text(encoding="utf-8")), results()) == []
 
 
 if __name__ == "__main__":
     data = results()
+    print("\n".join(changes(json.loads(GOLDEN.read_text(encoding="utf-8")), data)) or "no change")
     # one case per line, so a regenerated file diffs case by case
     lines = ",\n".join(
         f"  {json.dumps(name)}: [\n" + ",\n".join(f"    {json.dumps(c)}" for c in cases) + "\n  ]"

@@ -1,9 +1,12 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate as sci_integrate
+
+from oracles import perfbench_workloads
 
 from hardylab import spaces
 from hardylab.errors import ExponentRangeError, IntegrabilityProbeError, NoFiniteBracketError
@@ -99,15 +102,27 @@ def test_luxemburg_divergent_modular(p_text, power):
         luxemburg_norm(lambda x: x ** power, vp)
 
 
-def test_norm_modular_calls(monkeypatch):
-    calls = []
-    real = spaces.modular
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(name)`` wraps ``spaces.<name>`` and returns a list that
+    gains one entry per call."""
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def install(name):
+        calls = []
+        real = getattr(spaces, name)
 
-    monkeypatch.setattr(spaces, "modular", counting)
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spaces, name, counting)
+        return calls
+
+    return install
+
+
+def test_norm_modular_calls(count_calls):
+    calls = count_calls("modular")
     vp = validate_exponent(parse("2"), Interval(0, 1))
     assert luxemburg_norm(lambda x: 1.0 + x, vp) == pytest.approx(math.sqrt(7 / 3), rel=1e-9)
     assert len(calls) == 1
@@ -116,7 +131,63 @@ def test_norm_modular_calls(monkeypatch):
     vp = validate_exponent(parse("x+2"), Interval(0, 1))
     norm = luxemburg_norm(lambda x: 1.0 + math.sin(3 * x), vp)
     assert norm > 0
-    assert len(calls) <= 10
+    assert len(calls) <= 5
+
+
+def test_norm_of_a_unit_modular_is_one(count_calls):
+    # modular(1) is exactly 1, so log rho = 0 and the first secant point is
+    # the root: no further modular
+    calls = count_calls("modular")
+    vp = validate_exponent(parse("x+2"), Interval(0, 1))
+    assert luxemburg_norm(lambda x: 1.0, vp) == 1.0
+    assert len(calls) == 1
+
+
+def _workload_norms(count=160):
+    """The variable-exponent operations among the first ``count`` seed-0
+    ``luxemburg-norms`` inputs: (op, meta, vp, f, p) with f and p as the
+    benchmark evaluates them for its SciPy references."""
+    workloads = perfbench_workloads()
+    wl = workloads.LuxemburgNorms(0, None)
+    wl.setup()
+    wl.start()
+    ops = [wl.prepare(i) for i in range(count)]
+    return [
+        (op, meta, wl.exponents[meta["exponent"]], workloads.polynomial(meta["coeffs"]),
+         workloads.EXPONENTS[meta["exponent"]][1])
+        for op, meta in ops if meta["varp"]
+    ]
+
+
+def test_workload_norms_make_at_most_five_modular_calls(count_calls):
+    calls = count_calls("modular")
+    per_norm = []
+    for op, *_ in _workload_norms():
+        calls.clear()
+        op()
+        per_norm.append(len(calls))
+    assert len(per_norm) == 80 and max(per_norm) <= 5
+
+
+def test_workload_norms_put_f_over_norm_on_the_unit_sphere():
+    # The solve puts modular(f / norm) at 1, and SciPy's modular of f/norm,
+    # split at the planted root, agrees to 1e-9.  Where modular ends at
+    # max-depth (a sign-changing f with p = 2-exp(-x^2), whose root is not a
+    # split), modular itself is off by up to 5e-8 (mpmath agrees with SciPy),
+    # so the norm can be no closer than that.
+    for op, meta, vp, f, p in _workload_norms():
+        norm = op()
+        points = None if meta["root"] is None else [meta["root"]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sci_integrate.IntegrationWarning)
+            rho = sci_integrate.quad(
+                lambda x: abs(f(x) / norm) ** p(x), 0.0, 1.0,
+                points=points, epsabs=0.0, epsrel=2e-14, limit=400,
+            )[0]
+        own = modular(Integrand(lambda x: f(x) / norm, vp.domain), vp,
+                      tol=spaces.NORM_TOL, tol_abs=spaces.NORM_TOL_ABS)
+        assert abs(own.value - 1.0) <= 1e-9, (meta, own)
+        assert abs(rho - 1.0) <= (1e-9 if own.status == "converged" else 1e-7), (meta, rho, own)
 
 
 def test_norm_small_modular_constant_exponent():
@@ -142,6 +213,25 @@ def test_norm_bracket_widening(narrowed):
     assert luxemburg_norm(compile_fn(parse("3.7")), wrong) == pytest.approx(3.7, rel=1e-9)
     f = lambda x: 1.0 + math.sin(3 * x)
     assert luxemburg_norm(f, wrong) == pytest.approx(luxemburg_norm(f, vp), rel=1e-9)
+
+
+@pytest.mark.parametrize("narrowed", ["p_plus", "p_minus"])
+def test_norm_bracket_widening_falls_back_to_brent(narrowed, count_calls):
+    # the secant leaves the understated bracket, so the widened bracket and
+    # Brent's method find the norm, as in test_norm_bracket_widening; with
+    # the true extrema the secant alone does
+    calls = count_calls("brentq")
+    vp = validate_exponent(parse("x+2"), Interval(0, 1))
+    if narrowed == "p_plus":
+        wrong = dataclasses.replace(vp, p_plus=vp.p_minus + 0.1)
+    else:
+        wrong = dataclasses.replace(vp, p_minus=vp.p_plus - 0.1)
+    for f in (compile_fn(parse("3.7")), lambda x: 1.0 + math.sin(3 * x)):
+        calls.clear()
+        luxemburg_norm(f, wrong)
+        assert len(calls) == 1
+    luxemburg_norm(lambda x: 1.0 + math.sin(3 * x), vp)
+    assert len(calls) == 1
 
 
 def _random_poly(rng):
