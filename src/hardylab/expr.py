@@ -400,15 +400,18 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
 def to_string(e: Expr) -> str:
-    """Render ``e`` in the input grammar; parse(to_string(e)) evaluates
-    identically to ``e`` (constants print with full round-trip precision)."""
+    """Render ``e`` in the input grammar with full round-trip precision:
+    parse(to_string(e)) evaluates identically to ``e``, unless a constant is
+    not finite and prints as ``inf`` or ``nan``, which the grammar does not read."""
     return _render(e, 0)
 
 
 def _render(e: Expr, parent_prec: int) -> str:
     kind = e.kind
     if kind == "const":
-        return repr(e.value)
+        # a negative base of '^' in parentheses: -2.0 ^ x reads as -(2.0 ^ x)
+        negative_base = parent_prec > _PRECEDENCE["^"] and math.copysign(1.0, e.value) < 0
+        return f"({e.value!r})" if negative_base else repr(e.value)
     if kind == "x":
         return "x"
     if kind in ("exp", "log", "abs", "sgn"):
@@ -615,11 +618,11 @@ class Interval:
         return self.lo < x < self.hi
 
     def window(self, span: float = 64.0) -> "Interval":
-        """Finite sub-window used for sampling on unbounded intervals."""
-        lo = self.lo if math.isfinite(self.lo) else max(-span, self.hi - 2 * span if math.isfinite(self.hi) else -span)
-        hi = self.hi if math.isfinite(self.hi) else min(span, lo + 2 * span)
-        if not lo < hi:
-            lo, hi = -span, span
+        """Finite sub-window used for sampling on unbounded intervals: an
+        infinite left end becomes ``min(hi, 0) - span`` and an infinite right
+        end ``max(lo, 0) + span``, so the window lies inside the interval."""
+        lo = self.lo if math.isfinite(self.lo) else min(self.hi, 0.0) - span
+        hi = self.hi if math.isfinite(self.hi) else max(self.lo, 0.0) + span
         return Interval(lo, hi)
 
     def midpoint_array(self, n: int) -> np.ndarray:

@@ -125,6 +125,7 @@ class HardyInstance:
             pts.update(singular_points(e, self.domain))
         self.split_points = tuple(sorted(pts))
         self._measures = None
+        self._log_measure = None
         self._admissibility = None
 
     @property
@@ -209,16 +210,17 @@ def _sample(e: Expr, pts: np.ndarray):
 
 
 def check_nonneg(e: Expr, interval: Interval, name: str = "nonnegative") -> ConditionReport:
-    """Grid verdict on ``e >= 0``, within ``POINTWISE_TOL`` relative to the
-    largest sampled magnitude: sampled at ``ADMISSIBILITY_GRID`` points plus
-    small offsets around the expression's singular points."""
+    """Grid verdict on ``e >= 0``, within ``POINTWISE_TOL`` times the larger of
+    1 and the largest finite sampled magnitude: sampled at ``ADMISSIBILITY_GRID``
+    points plus small offsets around the expression's singular points."""
     pts = _sample_points(interval, singular_points(e, interval))
     xs, vs, skipped = _sample(e, pts)
     if not len(vs):
         return ConditionReport(name, INDETERMINATE, math.nan, None, skipped, len(pts))
     i = int(np.argmin(vs))
     worst = float(vs[i])
-    verdict = HOLDS if worst >= -POINTWISE_TOL * max(1.0, float(np.abs(vs).max())) else VIOLATED
+    scale = float(np.abs(vs[np.isfinite(vs)]).max(initial=1.0))
+    verdict = HOLDS if worst >= -POINTWISE_TOL * scale else VIOLATED
     witness = float(xs[i]) if verdict == VIOLATED else None
     return ConditionReport(name, verdict, worst, witness, skipped, len(pts))
 
@@ -298,12 +300,12 @@ def weak_pdi_residual(inst: HardyInstance, w) -> float:
 
 
 def build_measures(inst: HardyInstance) -> tuple[WeightedMeasure, WeightedMeasure]:
-    """The pair of weights induced by the instance.
+    """The abstract's mu1 and mu2, the weights of |xi|^p and |xi'|^p, memoized.
 
-    Left weight: (Phi u + sigma |u'|^p) u^(-beta-1) restricted to {u > 0}.
-    Right weight: ((p-1)/(beta-sigma))^(p-1) * 2^((p-1) chi[p' != 0])
+    mu1: (Phi u + sigma |u'|^p) u^(-beta-1) restricted to {u > 0}.
+    mu2: ((p-1)/(beta-sigma))^(p-1) * 2^((p-1) chi[p' != 0])
     * u^(p-beta-1) restricted to {u' != 0}.  The factor 2 appears exactly
-    where p' is nonzero; for a constant exponent it is absent.
+    where p' is nonzero; where p' is the zero constant it is absent.
     """
     if inst._measures is not None:
         return inst._measures
@@ -352,6 +354,17 @@ def build_measures(inst: HardyInstance) -> tuple[WeightedMeasure, WeightedMeasur
     )
     inst._measures = (mu1, mu2)
     return inst._measures
+
+
+def log_measure(inst: HardyInstance) -> WeightedMeasure | None:
+    """The abstract's mu3, the weight of |xi log xi|^p, built once and
+    memoized: (|p'|/p)^p times mu2's density, on mu2's indicator and splits.
+    None where p' is the zero constant, where mu2 has no factor 2."""
+    if inst._log_measure is None and not _is_zero_const(inst.p_prime):
+        p, mu2 = inst.vp.p, build_measures(inst)[1]
+        density = mul(pow_(div(abs_(inst.p_prime), p), p), mu2.density)
+        inst._log_measure = WeightedMeasure(density, mu2.split_points, mu2.indicator)
+    return inst._log_measure
 
 
 def _is_zero_const(e: Expr) -> bool:

@@ -1,9 +1,9 @@
 """Numerical verification of the weighted inequalities.
 
-A verification compares one weighted integral of a test function against one
-or two weighted integrals of its derivative; the verdict accounts for the
-quadrature error bounds, and an indeterminate first pass is retried once at
-a hundredfold tighter tolerance before reporting.
+Each left side is a ``spaces.modular`` of the test function against mu1 (at
+the exponent 1 for Caccioppoli), and mu1, mu2 and mu3 come from ``instance``.
+The verdict accounts for the quadrature error bounds, and an indeterminate
+first pass is retried once at a hundredfold tighter tolerance.
 """
 
 from __future__ import annotations
@@ -27,19 +27,15 @@ from .expr import (
     Expr,
     Interval,
     _bracketed_zeros,
-    abs_,
     compile_fn,
     compile_integrand,
     const,
     differentiate,
-    div,
     eval_grid,
-    mul,
-    pow_,
     singular_points,
     to_string,
 )
-from .instance import HardyInstance, WeightedMeasure, build_measures, check_admissibility
+from .instance import HardyInstance, build_measures, check_admissibility, log_measure
 from .quadrature import (
     DEFAULT_TOL,
     DEFAULT_TOL_ABS,
@@ -48,7 +44,7 @@ from .quadrature import (
     ZERO_RESULT,
     integrate,
 )
-from .spaces import INDICATOR_FAILS, Integrand, modular
+from .spaces import Integrand, VariableExponent, modular
 
 PASS = "pass"
 FAIL = "fail"
@@ -91,13 +87,6 @@ class TestFunction:
         if not self.support.lo < x < self.support.hi:
             return 0.0
         return self._df(x)
-
-    def grid(self, xs: np.ndarray) -> np.ndarray:
-        """The function at every point of ``xs``, as one array."""
-        out = np.zeros(len(xs))
-        inside = (self.support.lo < xs) & (xs < self.support.hi)
-        out[inside] = self._f_grid(xs[inside])
-        return out
 
 
 def _support(kind: str, m: float, r: float) -> Interval:
@@ -284,7 +273,7 @@ def _tlogt_view(tf: TestFunction) -> Integrand:
     # crosses 1, so those crossings become quadrature splits (a touch of 1
     # leaves it smooth)
     xs = tf.support.midpoint_array(TEST_GRID)
-    crossings, _ = _bracketed_zeros(lambda x: tf._f(x) - 1.0, xs, tf.grid(xs) - 1.0)
+    crossings, _ = _bracketed_zeros(lambda x: tf._f(x) - 1.0, xs, tf._f_grid(xs) - 1.0)
     return Integrand(tf._f, tf.support, tuple(sorted({*tf.split_points, *crossings})), tlogt=True)
 
 
@@ -320,13 +309,6 @@ def verify_caccioppoli(inst: HardyInstance, phi: TestFunction, tol: float = DEFA
     return _with_retry(partial(_run_caccioppoli, inst, phi, mu1), tol)
 
 
-# phi times the left weight, per mode of the weight's indicator: {0} is the
-# indicator's expression and {1} the density
-_CACCIOPPOLI_LHS = {
-    mode: f"t = f(x)\nif t == 0.0:\n    return 0.0\nif {fails.format('{0}')}:\n    return 0.0\n"
-    "d = {1}\nreturn 0.0 if d == 0.0 else d * t\n"
-    for mode, fails in INDICATOR_FAILS.items()
-}
 # |phi'|^p phi^(1-p) times the right weight; {0} to {4} are p, u, u', beta and
 # sigma.  Where phi or phi' vanishes, below the resolution of the edge, the
 # limit is 0 under the edge-exponent hypothesis.  Log space: |phi'|^p and
@@ -358,21 +340,18 @@ return exp(log_total)
 """
 
 
-def _caccioppoli_integrands(inst, phi, mu1):
-    """The Caccioppoli integrands, each generated around phi's scalar forms."""
-    mode, chk = mu1.indicator
-    lhs = compile_integrand(_CACCIOPPOLI_LHS[mode], (chk, mu1.density))
-    rhs_trees = (inst.vp.p, inst.u, inst.u_prime, const(inst.beta), inst.sigma)
-    rhs = compile_integrand(_CACCIOPPOLI_RHS, rhs_trees)
-    return lhs(phi._f), rhs(phi._f, phi._df)
+def _caccioppoli_integrand(inst, phi):
+    """The gradient-side Caccioppoli integrand, generated around phi's scalar forms."""
+    trees = (inst.vp.p, inst.u, inst.u_prime, const(inst.beta), inst.sigma)
+    return compile_integrand(_CACCIOPPOLI_RHS, trees)(phi._f, phi._df)
 
 
 def _run_caccioppoli(inst, phi, mu1, tol, tol_abs):
-    lhs_integrand, rhs_integrand = _caccioppoli_integrands(inst, phi, mu1)
-    splits = sorted(set(mu1.split_points) | set(phi.split_points))
-    lhs = integrate(lhs_integrand, phi.support, split_at=splits,
-                    endpoint_singular=(True, True), tol=tol, tol_abs=tol_abs)
-    rhs = integrate(rhs_integrand, phi.support, split_at=splits,
+    # the left side is the modular of phi >= 0 at the exponent 1 against mu1
+    lhs = modular(Integrand(phi._f, phi.support, phi.split_points),
+                  VariableExponent(const(1.0), inst.domain, 1.0, 1.0), mu=mu1, tol=tol, tol_abs=tol_abs)
+    rhs = integrate(_caccioppoli_integrand(inst, phi), phi.support,
+                    split_at=sorted({*mu1.split_points, *phi.split_points}),
                     endpoint_singular=(True, True), tol=tol, tol_abs=tol_abs)
     margin, verdict = _verdict(lhs, rhs, ZERO_RESULT)
     return VerificationReport(lhs, rhs, ZERO_RESULT, margin, verdict)
@@ -389,28 +368,14 @@ def verify_hardy(inst: HardyInstance, xi: TestFunction, tol: float = DEFAULT_TOL
     return _with_retry(partial(_run_hardy, inst, xi, mu1, mu2), tol)
 
 
-def _log_weight_measure(inst, mu2):
-    p, dp = inst.vp.p, inst.p_prime
-    weight = pow_(div(abs_(dp), p), p)
-    return WeightedMeasure(
-        density=mul(weight, mu2.density),
-        split_points=mu2.split_points,
-        indicator=mu2.indicator,
-    )
-
-
 def _run_hardy(inst, xi, mu1, mu2, tol, tol_abs):
     lhs = modular(Integrand(xi._f, xi.support, xi.split_points), inst.vp, mu=mu1,
                   tol=tol, tol_abs=tol_abs)
     rhs_main = modular(Integrand(xi._df, xi.support, xi.split_points), inst.vp, mu=mu2,
                        tol=tol, tol_abs=tol_abs)
-    if inst.p_prime.kind == "const" and inst.p_prime.value == 0.0:
-        rhs_log = ZERO_RESULT
-    else:
-        rhs_log = modular(
-            _tlogt_view(xi), inst.vp, mu=_log_weight_measure(inst, mu2),
-            tol=tol, tol_abs=tol_abs,
-        )
+    mu3 = log_measure(inst)
+    rhs_log = ZERO_RESULT if mu3 is None else modular(
+        _tlogt_view(xi), inst.vp, mu=mu3, tol=tol, tol_abs=tol_abs)
     margin, verdict = _verdict(lhs, rhs_main, rhs_log)
     return VerificationReport(lhs, rhs_main, rhs_log, margin, verdict)
 

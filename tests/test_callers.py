@@ -5,7 +5,8 @@ code that only the tests reach belongs in ``tests/``.  A reference is a
 definition itself; names are matched by their text, not resolved.  A method
 that shares its name with a field or stored attribute of a class in
 ``src/`` is referenced only by a call ``.name(...)``, since reading the
-field looks the same as naming the method."""
+field looks the same as naming the method.  And every name a module of
+``src/hardylab`` imports is read in that module."""
 
 import ast
 from pathlib import Path
@@ -93,3 +94,40 @@ def test_every_definition_in_src_has_a_caller_outside_tests():
         "give each name a caller in src/ or perfbench/, move it into tests/, "
         "or, once its ROADMAP item calls it, drop it from ALLOWED"
     )
+
+
+def _traced_sites():
+    """(module stem, name) of every site ``perfbench/tracing.py`` wraps: the
+    tracer replaces these module attributes, so an import it wraps is a
+    reference even where the module itself does not read it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SITES"]:
+            sites = ast.literal_eval(node.value)
+            return {(module.rsplit(".", 1)[-1], name) for module, names in sites.items() for name in names}
+    raise AssertionError("perfbench/tracing.py defines no SITES")
+
+
+def test_every_import_in_src_is_read():
+    sites = _traced_sites()
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [
+            (alias.asname or alias.name.split(".", 1)[0], node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+            for alias in node.names
+        ]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        # a name listed in __all__ is exported, which reads it
+        read.update(
+            elt.value for node in tree.body if isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+            for elt in node.value.elts
+        )
+        unread += [
+            f"{path.stem}.{name} (line {line})" for name, line in imported
+            if name not in read and (path.stem, name) not in sites
+        ]
+    assert unread == [], "delete the imports that nothing in their module reads"

@@ -448,6 +448,24 @@ def test_indeterminate_admissibility_exits_3(tmp_path, capsys, command):
     assert "u-nonnegative" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_an_infinite_negative_sample_violates_the_pointwise_condition(tmp_path, capsys, command):
+    # phi overflows to -inf past x = 0.71: a worst value of -inf is violated,
+    # not forgiven by a tolerance scaled to it
+    cfg = _write_config(
+        tmp_path,
+        "[instance]\npreset = raw\ndomain = 0, 1\np = 2\nu = x + 1\nphi = 0 - exp(1000*x)\n"
+        "sigma = 0\nbeta = 1\n[verification]\ncount = 2\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n",
+    )
+    assert main([command, "--config", cfg]) == EXIT_MATH
+    out = capsys.readouterr().out
+    if command == "check":
+        assert "condition pointwise: violated" in out and "at x=" in out
+    else:
+        assert "fails ['pointwise']" in out
+
+
 @pytest.mark.parametrize("key", ["budget", "restarts", "tol"])
 @pytest.mark.parametrize("value", ["0", "-2", "1e3"])
 def test_removed_scan_count_keys_are_unknown(tmp_path, capsys, monkeypatch, key, value):

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,11 +7,16 @@ import pytest
 from hardylab import expr
 from hardylab.errors import EvalDomainError, ParseError, UnknownIdentifierError
 from hardylab.expr import (
+    X,
     Interval,
+    add,
     compile_fn,
+    const,
     differentiate,
     evaluate,
+    mul,
     parse,
+    pow_,
     singular_points,
     singular_scan,
     to_string,
@@ -132,6 +138,25 @@ def test_roundtrip_of_derivatives():
         back = parse(to_string(d))
         for x in rng.uniform(-2, 2, size=30):
             assert evaluate(back, float(x)) == evaluate(d, float(x))
+
+
+def test_roundtrip_of_a_negative_constant_base():
+    # -2.0 ^ x reads as -(2.0 ^ x), so a base whose sign bit is set prints
+    # in parentheses, also as -0.0 and nested inside an exponent
+    rng = np.random.default_rng(5)
+    for c in (-2.0, -0.5, -3.0, -0.0):
+        for expo in (X, const(2.0), const(3.0), pow_(const(c), X),
+                     add(X, pow_(const(c), const(2.0)))):
+            e = pow_(const(c), expo)
+            for tree in (e, pow_(X, e), mul(const(c), e), pow_(e, const(3.0))):
+                back = parse(to_string(tree))
+                assert back == tree, to_string(tree)
+                for x in [*rng.uniform(-3, 3, size=8), 2.0]:
+                    try:
+                        v = evaluate(tree, float(x))
+                    except EvalDomainError:
+                        continue
+                    assert struct.pack("<d", evaluate(back, float(x))) == struct.pack("<d", v)
 
 
 def _random_tree(rng, depth):

@@ -10,6 +10,7 @@ from hardylab.instance import (
     build_measures,
     check_admissibility,
     check_nonneg,
+    log_measure,
     make_instance,
     pointwise_condition_expr,
     preset,
@@ -149,6 +150,35 @@ def test_check_nonneg_trivial_cases():
     rep = check_nonneg(parse("-x^2"), Interval(-1, 1))
     assert rep.verdict == "violated"
     assert rep.witness is not None and rep.witness != 0.0
+
+
+def test_check_nonneg_an_infinite_negative_sample_violates():
+    # exp(1000 x) overflows past x = 0.71; the tolerance scales with the
+    # largest finite sample only, so the -inf samples are violations
+    rep = check_nonneg(parse("0 - exp(1000*x)"), Interval(0, 1))
+    assert rep.verdict == "violated"
+    assert rep.worst_margin == -math.inf and rep.witness > 0.7
+
+
+def test_a_half_line_far_from_zero_is_sampled_inside_itself():
+    for domain in (Interval(100, math.inf), Interval(-math.inf, -100)):
+        w = domain.window()
+        assert domain.lo <= w.lo < w.hi <= domain.hi
+    domain = Interval(100, math.inf)
+    assert make_instance(domain, "2 + x^0.5/(1+x^0.5)", "x", None, "0", 1.0).vp.p_minus > 2.0
+    inst = preset("raw", domain="100, inf", p="2", u="log(x)", sigma="0", beta=1.0)
+    u_nonneg = condition(check_admissibility(inst), "u-nonnegative")
+    assert u_nonneg.verdict == "holds-numerically" and u_nonneg.skipped == 0
+
+
+def test_log_measure_is_built_once_and_only_for_a_variable_exponent():
+    inst = preset("cor53")
+    assert log_measure(inst) is not None
+    assert log_measure(inst) is log_measure(inst)
+    assert log_measure(inst).indicator == build_measures(inst)[1].indicator
+    # p' is the zero constant: mu2 has no factor 2 and the log term vanishes
+    assert log_measure(preset("cor51")) is None
+    assert log_measure(preset("constp")) is None
 
 
 def test_check_nonneg_normalized_power_condition():

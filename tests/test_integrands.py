@@ -1,6 +1,8 @@
 """The generated integrands of ``spaces.modular`` and the Caccioppoli
 verification against the closures in ``oracles``: the same value bit for
-bit at every point, and the same first domain error."""
+bit at every point, and the same first domain error.  The Caccioppoli left
+side is a modular at the exponent 1, so it is also held against the
+oracle's own left integrand where quadrature calls it."""
 
 import math
 import struct
@@ -11,8 +13,8 @@ import pytest
 
 from hardylab import cli, expr, verify
 from hardylab.errors import EvalDomainError
-from hardylab.expr import Interval, compile_fn, parse
-from hardylab.instance import WeightedMeasure, build_measures
+from hardylab.expr import Interval, compile_fn, const, parse
+from hardylab.instance import WeightedMeasure, build_measures, log_measure
 from hardylab.spaces import Integrand, modular, modular_integrand, validate_exponent
 from oracles import caccioppoli_integrands, modular_integrand as reference_integrand, tlogt
 
@@ -55,20 +57,42 @@ def _points(inst, tf):
 def test_hardy_integrands_match_closures(name):
     inst = _instance(name)
     mu1, mu2 = build_measures(inst)
-    mu_log = verify._log_weight_measure(inst, mu2)
+    mu_log = log_measure(inst)
     p = inst.vp.p
     rng = np.random.default_rng(sum(map(ord, name)))
     for family in ("power_bump", "power_bump", "spline", "spline"):
         tf = verify.random_test_function(inst, rng, family)
         xs = _points(inst, tf)
-        pairs = (
+        pairs = [
             (Integrand(tf._f, tf.support), mu1, tf._f),
             (Integrand(tf._df, tf.support), mu2, tf._df),
-            (Integrand(tf._f, tf.support, tlogt=True), mu_log, tlogt(tf._f)),
             (Integrand(tf._f, tf.support), None, tf._f),
-        )
+        ]
+        if mu_log is not None:
+            pairs.append((Integrand(tf._f, tf.support, tlogt=True), mu_log, tlogt(tf._f)))
         for f, mu, fn in pairs:
             _assert_same(modular_integrand(f, p, mu), reference_integrand(fn, p, mu), xs)
+
+
+def _assert_caccioppoli_left_side(inst, phi, mu1, inside, elsewhere):
+    # The left side is modular's integrand at the exponent 1.  It matches the
+    # oracle's left integrand bit for bit where phi is finite and positive,
+    # which is everywhere quadrature calls it: strictly inside the support of
+    # a family that is nonnegative.  The one exception there is a density of
+    # -0.0, where phi * -0.0 is -0.0 against the oracle's 0.0: equal values,
+    # and a sum of them differs only in the sign of an all-zero integral.
+    # Elsewhere the two differ, and nothing integrates them there: a negative
+    # phi gives |phi| times the density in place of phi times it, and a NaN
+    # or infinite phi where the indicator fails gives ``base * 0.0`` (NaN) in
+    # place of 0.0.
+    generated = modular_integrand(Integrand(phi._f, Interval(-math.inf, math.inf)), const(1.0), mu1)
+    old_lhs = caccioppoli_integrands(inst, phi, mu1)[0]
+    density = compile_fn(mu1.density)
+    for x in inside:
+        if _outcome(generated, x) != _outcome(old_lhs, x):
+            d = density(x)
+            assert generated(x) == old_lhs(x) == 0.0 == d and math.copysign(1.0, d) < 0.0, x
+    _assert_same(generated, reference_integrand(phi._f, const(1.0), mu1), [*inside, *elsewhere])
 
 
 @pytest.mark.parametrize("name", COROLLARIES)
@@ -79,10 +103,11 @@ def test_caccioppoli_integrands_match_closures(name):
     for family in ("power_bump", "power_bump", "spline"):
         tf = verify.random_test_function(inst, rng, family)
         xs = _points(inst, tf)
-        for generated, reference in zip(
-            verify._caccioppoli_integrands(inst, tf, mu1), caccioppoli_integrands(inst, tf, mu1)
-        ):
-            _assert_same(generated, reference, xs)
+        _assert_same(
+            verify._caccioppoli_integrand(inst, tf), caccioppoli_integrands(inst, tf, mu1)[1], xs
+        )
+        inside = [x for x in xs if tf.support.contains(x)]
+        _assert_caccioppoli_left_side(inst, tf, mu1, inside, xs)
 
 
 def _polynomial(coeffs):
@@ -143,11 +168,14 @@ def test_caccioppoli_short_cuts_match_closures(mu1):
         u_prime=parse("log(x + 1.05)"), beta=2.0, sigma=parse("3 * x"),
     )
     phi = SimpleNamespace(_f=compile_fn(parse("4 - x * x")), _df=compile_fn(parse("0 - 2 * x")))
-    xs = [i / 40 for i in range(-48, 49)] + [-1.05, -0.05, 2 / 3, math.nan]
-    for generated, reference in zip(
-        verify._caccioppoli_integrands(inst, phi, mu1), caccioppoli_integrands(inst, phi, mu1)
-    ):
-        _assert_same(generated, reference, xs)
+    xs = [i / 40 for i in range(-48, 49)] + [-1.05, -0.05, 2 / 3]
+    _assert_same(
+        verify._caccioppoli_integrand(inst, phi), caccioppoli_integrands(inst, phi, mu1)[1],
+        [*xs, math.nan],
+    )
+    # the left side's indicator short-cuts and domain errors, for a phi that
+    # is positive on xs and NaN at NaN
+    _assert_caccioppoli_left_side(inst, phi, mu1, xs, [math.nan, 3.0])
 
 
 @pytest.fixture

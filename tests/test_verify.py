@@ -330,7 +330,10 @@ class _Passes:
 def test_indeterminate_first_pass_is_retried_once(distance_instance, monkeypatch, which):
     # lhs 2, rhs 3: margin 1 inside the first pass's combined bound 2
     fake = _Passes((2.0, 3.0), 2)
-    monkeypatch.setattr(verify, "modular" if which == "hardy" else "integrate", fake)
+    # a Hardy case integrates through modular only, a Caccioppoli case its
+    # left side through modular and its gradient side through integrate
+    monkeypatch.setattr(verify, "modular", fake)
+    monkeypatch.setattr(verify, "integrate", fake)
     run = verify_hardy if which == "hardy" else verify_caccioppoli
     rep = run(distance_instance, power_bump(0.0, 0.5), tol=1e-8)
     assert fake.passes() == [(1e-8, DEFAULT_TOL_ABS), (1e-8 / 100.0, 3.0 * 1e-8 * 1e-4)]
