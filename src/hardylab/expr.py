@@ -620,9 +620,15 @@ class Interval:
     def window(self, span: float = 64.0) -> "Interval":
         """Finite sub-window used for sampling on unbounded intervals: an
         infinite left end becomes ``min(hi, 0) - span`` and an infinite right
-        end ``max(lo, 0) + span``, so the window lies inside the interval."""
+        end ``max(lo, 0) + span``, so the window lies inside the interval.
+        Raises ValueError when the span is lost against a finite end."""
         lo = self.lo if math.isfinite(self.lo) else min(self.hi, 0.0) - span
         hi = self.hi if math.isfinite(self.hi) else max(self.lo, 0.0) + span
+        if not lo < hi:
+            raise ValueError(
+                f"no sampling window of span {span:g} in ({self.lo}, {self.hi}): "
+                "the span is lost against the finite end"
+            )
         return Interval(lo, hi)
 
     def midpoint_array(self, n: int) -> np.ndarray:

@@ -211,15 +211,20 @@ def _sample(e: Expr, pts: np.ndarray):
 
 def check_nonneg(e: Expr, interval: Interval, name: str = "nonnegative") -> ConditionReport:
     """Grid verdict on ``e >= 0``, within ``POINTWISE_TOL`` times the larger of
-    1 and the largest finite sampled magnitude: sampled at ``ADMISSIBILITY_GRID``
-    points plus small offsets around the expression's singular points."""
+    1 and the largest finite magnitude among the worst sample and its
+    neighbours in x: sampled at ``ADMISSIBILITY_GRID`` points plus small
+    offsets around the expression's singular points."""
     pts = _sample_points(interval, singular_points(e, interval))
     xs, vs, skipped = _sample(e, pts)
     if not len(vs):
         return ConditionReport(name, INDETERMINATE, math.nan, None, skipped, len(pts))
     i = int(np.argmin(vs))
     worst = float(vs[i])
-    scale = float(np.abs(vs[np.isfinite(vs)]).max(initial=1.0))
+    # the offsets around singular points follow the grid, so sort by x
+    order = np.argsort(xs, kind="stable")
+    k = int(np.flatnonzero(order == i)[0])
+    near = vs[order[max(k - 1, 0):k + 2]]
+    scale = float(np.abs(near[np.isfinite(near)]).max(initial=1.0))
     verdict = HOLDS if worst >= -POINTWISE_TOL * scale else VIOLATED
     witness = float(xs[i]) if verdict == VIOLATED else None
     return ConditionReport(name, verdict, worst, witness, skipped, len(pts))

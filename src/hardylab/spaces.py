@@ -2,7 +2,7 @@
 
 An exponent is validated against the admissible class (values strictly above
 1, bounded above, with the local integrability of ``p^p(x)`` and ``|p'|^p(x)``
-probed on a compact exhaustion of the domain).  Extremal exponent values are
+probed on one compact subset of the domain).  Extremal exponent values are
 located by grid sampling plus a golden-section refinement pass, so the
 reported bounds are numerical, not certified.
 """
@@ -36,7 +36,9 @@ from .quadrature import (
 
 P_LOWER_MARGIN = 1e-9
 P_UPPER_CAP = 1e6
-EXHAUSTION_LEVELS = (4, 16, 64)
+# The exponent's integrability is probed on the points farther than
+# 1/EXHAUSTION from the finite boundary and inside (-EXHAUSTION, EXHAUSTION).
+EXHAUSTION = 64
 
 
 @dataclass(frozen=True)
@@ -127,30 +129,29 @@ def validate_exponent(p: Expr, domain: Interval) -> VariableExponent:
 
 
 def _probe_integrability(vp: VariableExponent) -> None:
-    """Require finite ``p^p`` and ``|p'|^p`` integrals on a compact exhaustion."""
-    p = vp.p
-    dp = differentiate(p)
-    probes = (pow_(p, p), pow_(abs_(dp), p))
-    for k in EXHAUSTION_LEVELS:
-        sub = vp.domain.compact_exhaustion(k)
-        if sub is None:
-            continue
-        for probe in probes:
-            fn = compile_fn(probe)
-            try:
-                r = integrate(
-                    fn, sub,
-                    split_at=vp.split_points,
-                    tol=1e-6, tol_abs=1e-9,
-                )
-            except EvalDomainError as err:
-                raise IntegrabilityProbeError(
-                    f"probe not evaluable on ({sub.lo}, {sub.hi}): {err}"
-                ) from err
-            if not math.isfinite(r.value) or r.status == STATUS_DIVERGENT:
-                raise IntegrabilityProbeError(
-                    f"integrability probe failed on ({sub.lo}, {sub.hi})"
-                )
+    """Require finite ``p^p`` and ``|p'|^p`` integrals on the compact set
+    ``compact_exhaustion(EXHAUSTION)``.  Both are nonnegative and the sets
+    of an exhaustion are nested, so this widest set decides for the
+    narrower ones too."""
+    sub = vp.domain.compact_exhaustion(EXHAUSTION)
+    if sub is None:
+        return
+    dp = differentiate(vp.p)
+    for probe in (pow_(vp.p, vp.p), pow_(abs_(dp), vp.p)):
+        try:
+            r = integrate(
+                compile_fn(probe), sub,
+                split_at=vp.split_points,
+                tol=1e-6, tol_abs=1e-9,
+            )
+        except EvalDomainError as err:
+            raise IntegrabilityProbeError(
+                f"probe not evaluable on ({sub.lo}, {sub.hi}): {err}"
+            ) from err
+        if not math.isfinite(r.value) or r.status == STATUS_DIVERGENT:
+            raise IntegrabilityProbeError(
+                f"integrability probe failed on ({sub.lo}, {sub.hi})"
+            )
 
 
 # The generated test under which an indicator (its expression's slot in
@@ -212,13 +213,18 @@ def modular(
 
 
 BRACKET_CAP = 1e12
-# Relative and absolute tolerance of every modular a norm computes.
+# Relative and absolute tolerance of the modulars a norm rests on.
 NORM_TOL = 1e-9
 NORM_TOL_ABS = 1e-13
+# Relative tolerance of the secant's early modulars, used until a step moves
+# log(lambda) by at most LOOSE_STEP.
+LOOSE_TOL = 1e-4
+LOOSE_STEP = 1e-6
 # Half-width, in log(lambda), added to the bracket from the sampled extrema.
 BRACKET_SLACK = 1e-3
-# Secant steps a norm takes before it falls back to the bracket and Brent.
-SECANT_STEPS = 8
+# Secant steps a norm takes, at both tolerances, before it falls back to the
+# bracket and Brent.
+SECANT_STEPS = 12
 
 
 def luxemburg_norm(f: Callable[[float], float], vp: VariableExponent) -> float:
@@ -226,16 +232,26 @@ def luxemburg_norm(f: Callable[[float], float], vp: VariableExponent) -> float:
     defined on the whole (open) domain of ``vp``.
 
     The norm lies between ``rho^(1/p_plus)`` and ``rho^(1/p_minus)`` for
-    ``rho = modular(f)`` (Diening, Harjulehto, Hasto and Ruzicka, LNM 2017,
-    Lemma 3.2.5).  A constant exponent gives ``rho^(1/p)`` by homogeneity,
-    corrected once at the scale of the answer when ``rho`` is so small that
-    the absolute quadrature floor bounded its error.  For a variable exponent
-    secant steps solve ``g(t) = log modular(f / e^t) = 0``, convex in ``t``
-    with slope in ``[-p_plus, -p_minus]`` and nearly linear, from the known
-    point ``(0, log rho)`` and the root for the mean exponent, until a step
-    moves ``t`` by at most 1e-10.  A step outside the widened bracket, a
-    non-finite or flat ``g`` or ``SECANT_STEPS`` steps fall back to Brent's
-    method on the bracket, to 1e-10 relative on lambda.  The extrema are
+    ``rho = modular(f)`` at ``NORM_TOL`` (Diening, Harjulehto, Hasto and
+    Ruzicka, LNM 2017, Lemma 3.2.5).  A constant exponent gives
+    ``rho^(1/p)`` by homogeneity, corrected once at the scale of the answer
+    (a second ``NORM_TOL`` modular) when ``rho`` is so small that the
+    absolute quadrature floor bounded its error.
+
+    For a variable exponent secant steps solve ``g(t) = log modular(f / e^t)
+    = 0``, convex in ``t`` with slope in ``[-p_plus, -p_minus]`` and nearly
+    linear, from the known point ``(0, log rho)`` and the root for the mean
+    exponent.  It is an inexact secant (Dembo, Eisenstat and Steihaug, SIAM
+    J. Numer. Anal. 19, 1982): the early steps compute ``g`` at
+    ``LOOSE_TOL`` until a step moves ``t`` by at most ``LOOSE_STEP``.  Then
+    ``g`` is computed at ``NORM_TOL`` at the last iterate, one step is taken
+    with the last secant slope (kept within ``[-p_plus, -p_minus]``), and
+    secant steps on ``NORM_TOL`` values go on until a step moves ``t`` by
+    at most 1e-10.  So the solve ends only on a step from a ``NORM_TOL``
+    value; a loose value only picks where the ``NORM_TOL`` steps start.
+    A step outside the widened bracket, a non-finite or flat ``g`` or
+    ``SECANT_STEPS`` steps fall back to Brent's method on the bracket, on
+    ``NORM_TOL`` values only, to 1e-10 relative on lambda.  The extrema are
     sampled, not proven, so the bracket's ends are halved or doubled until
     they straddle the root; halving below 1e-15 returns 0.
 
@@ -243,9 +259,9 @@ def luxemburg_norm(f: Callable[[float], float], vp: VariableExponent) -> float:
     divergent, or when doubling passes ``BRACKET_CAP``.
     """
 
-    def scaled_modular(lam):
+    def scaled_modular(lam, tol=NORM_TOL):
         scaled = Integrand(lambda x: f(x) / lam, vp.domain)
-        return modular(scaled, vp, tol=NORM_TOL, tol_abs=NORM_TOL_ABS).value
+        return modular(scaled, vp, tol=tol, tol_abs=NORM_TOL_ABS).value
 
     r = modular(Integrand(f, vp.domain), vp, tol=NORM_TOL, tol_abs=NORM_TOL_ABS)
     rho = r.value
@@ -259,27 +275,39 @@ def luxemburg_norm(f: Callable[[float], float], vp: VariableExponent) -> float:
             lam *= scaled_modular(lam) ** (1.0 / vp.p_minus)
         return lam
 
-    memo = {}
-
-    def g(t):
-        if t not in memo:
-            m = scaled_modular(math.exp(t))
-            memo[t] = math.log(m) if m > 0.0 else -math.inf
-        return memo[t]
-
     log_rho = math.log(rho)
+    memo = {(0.0, NORM_TOL): log_rho}
+
+    def g(t, tol=NORM_TOL):
+        if (t, tol) not in memo:
+            m = scaled_modular(math.exp(t), tol)
+            memo[t, tol] = math.log(m) if m > 0.0 else -math.inf
+        return memo[t, tol]
+
     ends = (log_rho / vp.p_plus, log_rho / vp.p_minus)
     t_lo, t_hi = min(ends) - BRACKET_SLACK, max(ends) + BRACKET_SLACK
-    t0, g0, t1 = 0.0, log_rho, 2.0 * log_rho / (vp.p_minus + vp.p_plus)
+    # the first step goes to the root for the mean exponent
+    slope = -0.5 * (vp.p_minus + vp.p_plus)
+    t0, g0 = 0.0, log_rho
+    t1 = t0 - g0 / slope
+    tol, stop = LOOSE_TOL, LOOSE_STEP
     for _ in range(SECANT_STEPS):
-        if abs(t1 - t0) <= 1e-10:
-            return math.exp(t1)
+        keep_slope = False
+        if abs(t1 - t0) <= stop:
+            if tol == NORM_TOL:
+                return math.exp(t1)
+            tol, stop, keep_slope = NORM_TOL, 1e-10, True
+            slope = min(max(slope, -vp.p_plus), -vp.p_minus)
         if not t_lo <= t1 <= t_hi:
             break
-        g1 = g(t1)
-        if not math.isfinite(g1) or g1 == g0:
+        g1 = g(t1, tol)
+        if not math.isfinite(g1):
             break
-        t0, g0, t1 = t1, g1, t1 - g1 * (t1 - t0) / (g1 - g0)
+        if not keep_slope:
+            if g1 == g0:
+                break
+            slope = (g1 - g0) / (t1 - t0)
+        t0, g0, t1 = t1, g1, t1 - g1 / slope
     while g(t_lo) <= 0.0:
         t_hi = t_lo
         t_lo -= math.log(2.0)

@@ -578,6 +578,18 @@ def test_instance_key_no_preset_parameter_takes_exits_2(tmp_path, capsys, body, 
     assert not (tmp_path / "out").exists()
 
 
+def test_check_a_half_line_too_far_out_to_sample_exits_2(tmp_path, capsys):
+    # 1e300 + 64 rounds to 1e300, so no sampling window fits
+    cfg = _write_config(
+        tmp_path,
+        "[instance]\npreset = raw\np = 2\nu = x\nsigma = 0\nbeta = 1\ndomain = 1e300, inf\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n",
+    )
+    assert main(["check", "--config", cfg]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "span 64 in (1e+300, inf)" in err and "empty interval" not in err
+
+
 def test_raw_instance_without_domain_exits_2(tmp_path, capsys):
     cfg = _write_config(
         tmp_path, "[instance]\npreset = raw\np = 2\nu = x\nsigma = 0\nbeta = 1\n"

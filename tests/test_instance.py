@@ -153,11 +153,20 @@ def test_check_nonneg_trivial_cases():
 
 
 def test_check_nonneg_an_infinite_negative_sample_violates():
-    # exp(1000 x) overflows past x = 0.71; the tolerance scales with the
-    # largest finite sample only, so the -inf samples are violations
+    # exp(1000 x) overflows past x = 0.71; the tolerance scales with
+    # finite samples only, so the -inf samples are violations
     rep = check_nonneg(parse("0 - exp(1000*x)"), Interval(0, 1))
     assert rep.verdict == "violated"
     assert rep.worst_margin == -math.inf and rep.witness > 0.7
+
+
+def test_check_nonneg_scales_its_tolerance_near_the_worst_sample():
+    # exp(1000 x) - 2 is -0.95 at the first grid point and near 1e308 at
+    # x = 0.7; a tolerance scaled by the largest sample on the grid would
+    # forgive the negative part, one scaled near the worst sample does not
+    rep = check_nonneg(parse("exp(1000*x) - 2"), Interval(0, 1))
+    assert rep.verdict == "violated"
+    assert rep.worst_margin == pytest.approx(-0.9487, abs=1e-4) and rep.witness < 1e-3
 
 
 def test_a_half_line_far_from_zero_is_sampled_inside_itself():

@@ -105,15 +105,16 @@ def test_luxemburg_divergent_modular(p_text, power):
 @pytest.fixture
 def count_calls(monkeypatch):
     """``count_calls(name)`` wraps ``spaces.<name>`` and returns a list that
-    gains one entry per call."""
+    gains one entry per call that returns: its keyword arguments and result."""
 
     def install(name):
         calls = []
         real = getattr(spaces, name)
 
         def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+            result = real(*args, **kwargs)
+            calls.append((kwargs, result))
+            return result
 
         monkeypatch.setattr(spaces, name, counting)
         return calls
@@ -143,14 +144,20 @@ def test_norm_of_a_unit_modular_is_one(count_calls):
     assert len(calls) == 1
 
 
+def _workload(seed):
+    """The benchmark's ``luxemburg-norms`` workload for ``seed``, started."""
+    wl = perfbench_workloads().LuxemburgNorms(seed, None)
+    wl.setup()
+    wl.start()
+    return wl
+
+
 def _workload_norms(count=160):
     """The variable-exponent operations among the first ``count`` seed-0
     ``luxemburg-norms`` inputs: (op, meta, vp, f, p) with f and p as the
     benchmark evaluates them for its SciPy references."""
     workloads = perfbench_workloads()
-    wl = workloads.LuxemburgNorms(0, None)
-    wl.setup()
-    wl.start()
+    wl = _workload(0)
     ops = [wl.prepare(i) for i in range(count)]
     return [
         (op, meta, wl.exponents[meta["exponent"]], workloads.polynomial(meta["coeffs"]),
@@ -159,14 +166,27 @@ def _workload_norms(count=160):
     ]
 
 
-def test_workload_norms_make_at_most_five_modular_calls(count_calls):
+def test_workload_norms_rest_on_at_most_four_norm_tol_modulars(count_calls):
+    # Only the secant's last steps compute modulars at NORM_TOL.  At NORM_TOL
+    # throughout, each of these 80 norms made 5 modular calls and all of
+    # them 461,708 evaluations.
     calls = count_calls("modular")
-    per_norm = []
+    tight, evaluations = [], 0
     for op, *_ in _workload_norms():
         calls.clear()
         op()
-        per_norm.append(len(calls))
-    assert len(per_norm) == 80 and max(per_norm) <= 5
+        tight.append(sum(kwargs["tol"] == spaces.NORM_TOL for kwargs, _ in calls))
+        evaluations += sum(r.evaluations for _, r in calls)
+    assert len(tight) == 80 and max(tight) <= 4
+    assert evaluations <= 0.8 * 461_708
+
+
+def test_seed_7_workload_norms_pass_the_benchmark_check():
+    check_norm = perfbench_workloads().check_norm
+    wl = _workload(7)
+    for i in range(160):
+        op, meta = wl.prepare(i)
+        assert check_norm(meta, op()) is None, (i, meta)
 
 
 def test_workload_norms_put_f_over_norm_on_the_unit_sphere():
