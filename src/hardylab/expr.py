@@ -26,8 +26,7 @@ from scipy.optimize import brentq
 
 from .errors import EvalDomainError, ParseError, UnknownIdentifierError
 
-_FUNCTIONS = ("exp", "log", "abs", "sgn", "min", "max")
-_BINARY = ("+", "-", "*", "/", "^")
+_ARITY = {"exp": 1, "log": 1, "abs": 1, "sgn": 1, "min": 2, "max": 2}
 
 
 @dataclass(frozen=True)
@@ -431,162 +430,108 @@ def _render(e: Expr, parent_prec: int) -> str:
     return f"({text})" if prec < parent_prec else text
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens = []
-        self._scan()
-        self.index = 0
-
-    def _scan(self):
-        text = self.text
-        i = 0
-        while i < len(text):
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c in "+-*/^(),":
-                self.tokens.append((c, c, i))
-                i += 1
-                continue
-            if c.isdigit() or c == ".":
-                j = i
-                seen_e = False
-                while j < len(text):
-                    ch = text[j]
-                    if ch.isdigit() or ch == ".":
-                        j += 1
-                    elif ch in "eE" and not seen_e and j + 1 < len(text) and (
-                        text[j + 1].isdigit() or text[j + 1] in "+-"
-                    ):
-                        seen_e = True
-                        j += 2 if text[j + 1] in "+-" else 1
-                    else:
-                        break
-                try:
-                    value = float(text[i:j])
-                except ValueError:
-                    raise ParseError(f"bad numeric literal {text[i:j]!r}", i)
-                self.tokens.append(("num", value, i))
-                i = j
-                continue
-            if c.isalpha() or c == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("name", text[i:j], i))
-                i = j
-                continue
-            raise ParseError(f"unexpected character {c!r}", i)
-        self.tokens.append(("end", None, len(text)))
-
-    def peek(self):
-        return self.tokens[self.index]
-
-    def next(self):
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
+# One token per match, after any whitespace: a number is decimal digits and
+# dots with at most one exponent, a name starts with a letter or "_".  Any
+# other character is an error, and the match at the end of the text is the
+# end token.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>[\d.]+(?:[eE](?=[\d+-])[+-]?[\d.]*)?)|(?P<name>[^\W\d]\w*)"
+    r"|(?P<op>[-+*/^(),])|(?P<end>\Z)|(?P<bad>.))"
+)
 
 
-class _Parser:
-    def __init__(self, text: str, params):
-        self.toks = _Tokenizer(text)
-        self.params = params or {}
-
-    def parse(self) -> Expr:
-        e = self._sum()
-        kind, _, pos = self.toks.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected token {kind!r}", pos)
-        return e
-
-    def _sum(self) -> Expr:
-        e = self._term()
-        while self.toks.peek()[0] in ("+", "-"):
-            op = self.toks.next()[0]
-            rhs = self._term()
-            e = add(e, rhs) if op == "+" else sub(e, rhs)
-        return e
-
-    def _term(self) -> Expr:
-        e = self._unary()
-        while self.toks.peek()[0] in ("*", "/"):
-            op = self.toks.next()[0]
-            rhs = self._unary()
-            e = mul(e, rhs) if op == "*" else div(e, rhs)
-        return e
-
-    def _unary(self) -> Expr:
-        if self.toks.peek()[0] == "-":
-            self.toks.next()
-            return neg(self._unary())
-        if self.toks.peek()[0] == "+":
-            self.toks.next()
-            return self._unary()
-        return self._power()
-
-    def _power(self) -> Expr:
-        base = self._atom()
-        if self.toks.peek()[0] == "^":
-            self.toks.next()
-            # right-associative; exponent may carry a unary sign
-            return pow_(base, self._unary())
-        return base
-
-    def _atom(self) -> Expr:
-        kind, value, pos = self.toks.next()
+def _tokens(text: str) -> list[tuple]:
+    """``(kind, value, position)`` of each token of ``text``, ending with
+    ``("end", None, len(text))``; an operator's kind and value are itself."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        value, pos = m[kind], m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", pos)
         if kind == "num":
-            return const(value)
-        if kind == "(":
-            e = self._sum()
-            k, _, p = self.toks.next()
-            if k != ")":
-                raise ParseError("expected ')'", p)
-            return e
-        if kind == "name":
-            if self.toks.peek()[0] == "(":
-                return self._call(value, pos)
-            if value == "x":
-                return X
-            if value in self.params:
-                return const(float(self.params[value]))
-            raise UnknownIdentifierError(f"unknown identifier {value!r}", pos)
-        raise ParseError(f"unexpected token {kind!r}", pos)
+            try:
+                value = float(value)
+            except ValueError:
+                raise ParseError(f"bad numeric literal {value!r}", pos) from None
+        elif kind == "op":
+            kind = value
+        elif kind == "end":
+            value = None
+        tokens.append((kind, value, pos))
+    return tokens
 
-    def _call(self, name: str, pos: int) -> Expr:
-        if name not in _FUNCTIONS:
-            raise UnknownIdentifierError(f"unknown function {name!r}", pos)
-        self.toks.next()  # '('
-        args = [self._sum()]
-        while self.toks.peek()[0] == ",":
-            self.toks.next()
-            args.append(self._sum())
-        k, _, p = self.toks.next()
-        if k != ")":
-            raise ParseError("expected ')'", p)
-        if name in ("min", "max"):
-            if len(args) != 2:
-                raise ParseError(f"{name} takes exactly 2 arguments", pos)
-            return Expr(name, tuple(args))
-        if len(args) != 1:
-            raise ParseError(f"{name} takes exactly 1 argument", pos)
-        if name == "abs":
-            return abs_(args[0])
-        return Expr(name, tuple(args))
+
+_BINARY = {"+": add, "-": sub, "*": mul, "/": div, "^": pow_}
 
 
 def parse(text: str, params: dict | None = None) -> Expr:
-    """Parse expression text; named parameters bind to constants now."""
-    return _Parser(text, params).parse()
+    """Parse expression text; named parameters bind to constants now.
+
+    Binary operators climb by :data:`_PRECEDENCE`, the printer's table; a
+    unary sign takes an operand of the operators that bind tighter than it,
+    so ``-x^2`` is ``-(x^2)`` and ``2^-x`` is ``2^(-x)``."""
+    tokens = _tokens(text)[::-1]  # pop() takes the next token
+    params = params or {}
+
+    def expect_close():
+        kind, _, pos = tokens.pop()
+        if kind != ")":
+            raise ParseError("expected ')'", pos)
+
+    def operand() -> Expr:
+        kind, value, pos = tokens.pop()
+        if kind in ("+", "-"):
+            e = climb(_PRECEDENCE["neg"] + 1)
+            return neg(e) if kind == "-" else e
+        if kind == "num":
+            return const(value)
+        if kind == "(":
+            e = climb(0)
+            expect_close()
+            return e
+        if kind != "name":
+            raise ParseError(f"unexpected token {kind!r}", pos)
+        if tokens[-1][0] == "(":
+            if value not in _ARITY:
+                raise UnknownIdentifierError(f"unknown function {value!r}", pos)
+            tokens.pop()
+            args = [climb(0)]
+            while tokens[-1][0] == ",":
+                tokens.pop()
+                args.append(climb(0))
+            expect_close()
+            n = _ARITY[value]
+            if len(args) != n:
+                plural = "s" if n > 1 else ""
+                raise ParseError(f"{value} takes exactly {n} argument{plural}", pos)
+            return Expr(value, tuple(args))
+        if value == "x":
+            return X
+        if value in params:
+            return const(params[value])
+        raise UnknownIdentifierError(f"unknown identifier {value!r}", pos)
+
+    def climb(min_prec: int) -> Expr:
+        # '^' is right-associative, the others left-associative
+        e = operand()
+        while tokens[-1][0] in _BINARY and _PRECEDENCE[tokens[-1][0]] >= min_prec:
+            op = tokens.pop()[0]
+            prec = _PRECEDENCE[op]
+            e = _BINARY[op](e, climb(prec if op == "^" else prec + 1))
+        return e
+
+    e = climb(0)
+    kind, _, pos = tokens[-1]
+    if kind != "end":
+        raise ParseError(f"unexpected token {kind!r}", pos)
+    return e
 
 
 def identifiers(text: str) -> set[str]:
     """The parameter names ``text`` reads: every name other than ``x`` that
     is not called as a function."""
-    tokens = _Tokenizer(text).tokens
+    tokens = _tokens(text)
     return {
         value for (kind, value, _), following in zip(tokens, tokens[1:])
         if kind == "name" and value != "x" and following[0] != "("

@@ -205,7 +205,6 @@ def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
             partial = 0.0
             small_streak = 0
             marks = []  # |partial sum| at t = 0.5, 1.0, ..., 4.5
-            next_mark = 0.5
             wall_hit = False
             j = stride
             while j <= _FINE_K:
@@ -232,11 +231,8 @@ def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
                     term = terms[j] = w * fx
                     saw_nonzero = saw_nonzero or term != 0.0
                 partial += term
-                if track:
-                    t = j * _FINE_H
-                    while next_mark <= 4.5 and t >= next_mark - 1e-12:
-                        marks.append(abs(partial))
-                        next_mark += 0.5
+                if track and j * _FINE_H <= 4.5:  # level 0's nodes are the marks
+                    marks.append(abs(partial))
                 if j >= _TAIL_J and abs(term) * contrib_scale < trunc:
                     small_streak += 1
                     if small_streak >= 3:

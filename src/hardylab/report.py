@@ -48,13 +48,10 @@ def make_record(
     payload: dict,
     config: dict | None = None,
     quadrature_stats: dict | None = None,
-    timestamp: str | None = None,
 ) -> RunRecord:
-    if timestamp is None:
-        timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return RunRecord(
         tool_version=__version__,
-        timestamp=timestamp,
+        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         config_hash=config_hash(config or {}),
         instance=instance,
         operation=operation,

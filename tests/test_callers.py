@@ -5,10 +5,13 @@ code that only the tests reach belongs in ``tests/``.  A reference is a
 definition itself; names are matched by their text, not resolved.  A method
 that shares its name with a field or stored attribute of a class in
 ``src/`` is referenced only by a call ``.name(...)``, since reading the
-field looks the same as naming the method.  And every name a module of
-``src/hardylab`` imports is read in that module."""
+field looks the same as naming the method.  Every name a module of
+``src/hardylab`` imports is read in that module.  And every parameter with
+a default is passed, by position or keyword, by some call in ``src/`` or
+``perfbench/``: a default that no caller overrides is a constant."""
 
 import ast
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,11 +62,15 @@ def _field_names():
     return names
 
 
+def _caller_sources():
+    return sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")])
+
+
 def _references():
     """Each referenced name, and separately each name called as
     ``.name(...)``, with the (file, line) of every reference."""
     refs, calls = {}, {}
-    for path in sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]):
+    for path in _caller_sources():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 calls.setdefault(node.func.attr, []).append((path, node.lineno))
@@ -131,3 +138,85 @@ def test_every_import_in_src_is_read():
             if name not in read and (path.stem, name) not in sites
         ]
     assert unread == [], "delete the imports that nothing in their module reads"
+
+
+# Defaulted parameters that a ROADMAP item will pass, by that item.
+UNSET_ALLOWED = {
+    "quadrature.integrate(singular_splits)": "item 6 (roots as singular splits)",
+    "report.make_record(quadrature_stats)": "item 10 (real quadrature_stats)",
+    "verify.tent(height)": "item 3 (the weak form of the PDI)",
+}
+
+
+def _defaulted_parameters():
+    """(qualified parameter, function name, position or None, keyword or
+    None) of every parameter with a default of every function in
+    ``src/hardylab``; a method's position does not count ``self``."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {item for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for item in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            first_defaulted = len(positional) - len(args.defaults)
+            offset = 1 if node in methods else 0
+            for index, arg in enumerate(positional[first_defaulted:], first_defaulted):
+                keyword = arg.arg if arg in args.args else None
+                yield f"{path.stem}.{node.name}({arg.arg})", node.name, index - offset, keyword
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield f"{path.stem}.{node.name}({arg.arg})", node.name, None, arg.arg
+
+
+def _passed_arguments():
+    """Function name -> (most positional arguments, keywords passed) over
+    every call in ``src/`` and ``perfbench/``, ``"**"`` among the keywords
+    for a call that unpacks a mapping.  Names are matched by their text.  A
+    call of a class name calls ``__init__``; a call ``table[key](...)``
+    calls every function of a dict of names assigned to ``table``; a call
+    of a name assigned ``f if cond else g`` calls both ``f`` and ``g``."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in _caller_sources()]
+    classes, tables, choices = set(), {}, {}
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.ClassDef):
+            classes.add(node.name)
+        elif isinstance(node, ast.Assign) and [type(t) for t in node.targets] == [ast.Name]:
+            value = node.value
+            if isinstance(value, ast.Dict) and value.values and all(isinstance(v, ast.Name) for v in value.values):
+                tables[node.targets[0].id] = [v.id for v in value.values]
+            elif isinstance(value, ast.IfExp) and all(isinstance(v, ast.Name) for v in (value.body, value.orelse)):
+                choices[node.targets[0].id] = [value.body.id, value.orelse.id]
+    passed = {}
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            callees = choices.get(func.id, [func.id])
+        elif isinstance(func, ast.Attribute):
+            callees = [func.attr]
+        elif isinstance(func, ast.Subscript) and isinstance(func.value, ast.Name):
+            callees = tables.get(func.value.id, [])
+        else:
+            continue
+        starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+        for callee in callees:
+            entry = passed.setdefault("__init__" if callee in classes else callee, [0, set()])
+            entry[0] = max(entry[0], math.inf if starred else len(node.args))
+            entry[1].update(k.arg or "**" for k in node.keywords)
+    return passed
+
+
+def test_every_defaulted_parameter_in_src_is_passed_outside_tests():
+    passed = _passed_arguments()
+    unset = []
+    for qualified, name, index, keyword in _defaulted_parameters():
+        count, keywords = passed.get(name, (0, set()))
+        if not (index is not None and index < count or keyword in keywords or "**" in keywords):
+            unset.append(qualified)
+    assert sorted(unset) == sorted(UNSET_ALLOWED), (
+        "pass each parameter from src/ or perfbench/, or drop it and its default, "
+        "or, once its ROADMAP item passes it, drop it from UNSET_ALLOWED"
+    )

@@ -49,15 +49,55 @@ def test_parse_whitespace_insensitive():
         assert evaluate(a, x) == evaluate(b, x)
 
 
-def test_parse_errors_carry_position():
-    with pytest.raises(ParseError):
-        parse("2 +* x")
-    with pytest.raises(UnknownIdentifierError):
-        parse("2 + y")
-    with pytest.raises(UnknownIdentifierError):
-        parse("sinh(x)")
-    with pytest.raises(ParseError):
-        parse("min(x)")
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("2 +* x", ParseError, "unexpected token '*' (at position 3)"),
+        ("1.2.3", ParseError, "bad numeric literal '1.2.3' (at position 0)"),
+        ("1e+", ParseError, "bad numeric literal '1e+' (at position 0)"),
+        ("2ex", ParseError, "unexpected token 'name' (at position 1)"),  # no exponent digit
+        ("(x + 1", ParseError, "expected ')' (at position 6)"),
+        ("x)", ParseError, "unexpected token ')' (at position 1)"),
+        ("sinh(x)", UnknownIdentifierError, "unknown function 'sinh' (at position 0)"),
+        ("y", UnknownIdentifierError, "unknown identifier 'y' (at position 0)"),
+        ("2 + y", UnknownIdentifierError, "unknown identifier 'y' (at position 4)"),
+        ("min(x)", ParseError, "min takes exactly 2 arguments (at position 0)"),
+        ("exp(x, 1)", ParseError, "exp takes exactly 1 argument (at position 0)"),
+        ("x # 2", ParseError, "unexpected character '#' (at position 2)"),
+        ("", ParseError, "unexpected token 'end' (at position 0)"),
+    ],
+)
+def test_parse_errors_carry_position(text, error, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def _neg(a):
+    return expr.Expr("neg", (a,))
+
+
+def _op(kind, a, b):
+    return expr.Expr(kind, (a, b))
+
+
+@pytest.mark.parametrize(
+    "text, tree",
+    [
+        ("2^3^2", const(512.0)),  # 2^(3^2), folded
+        ("-x^2", _neg(_op("^", X, const(2.0)))),
+        ("-x*2", _op("*", _neg(X), const(2.0))),
+        ("2^-x", _op("^", const(2.0), _neg(X))),
+        ("1-2-x", _op("-", const(-1.0), X)),
+        ("8/x/2", _op("/", _op("/", const(8.0), X), const(2.0))),
+        ("--x", _neg(_neg(X))),
+        ("+x", X),
+        ("x ^ -2 ^ x", _op("^", X, _neg(_op("^", const(2.0), X)))),
+    ],
+)
+def test_parse_precedence_and_associativity(text, tree):
+    assert parse(text) == tree
 
 
 def test_eval_basics():

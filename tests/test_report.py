@@ -27,7 +27,6 @@ def _sample_record():
         },
         config={"quadrature": {"tol": "1e-8"}},
         quadrature_stats={"evaluations": 1234},
-        timestamp="2026-01-01T00:00:00+00:00",
     )
 
 
