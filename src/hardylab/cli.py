@@ -38,6 +38,8 @@ from .errors import (
     VacuousInstanceError,
 )
 from .instance import (
+    INDETERMINATE,
+    VIOLATED,
     HardyInstance,
     check_admissibility,
     check_nonneg,  # not called here; perfbench/tracing.py wraps cli.check_nonneg
@@ -47,7 +49,7 @@ from .instance import (
 )
 from .report import emit_csv, emit_json, make_record
 from .sharpness import scan
-from .verify import BATCH_KINDS, FAIL, FAMILIES, INDETERMINATE, PASS, batch_verify
+from .verify import BATCH_KINDS, FAIL, FAMILIES, PASS, batch_verify
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -248,9 +250,9 @@ def _admissibility_exit(report) -> int:
     """Exit 1 if a condition of an admissibility report is violated, else 3
     if one is indeterminate, else 0."""
     verdicts = {cond.verdict for cond in report.conditions}
-    if "violated" in verdicts:
+    if VIOLATED in verdicts:
         return EXIT_MATH
-    if "indeterminate" in verdicts:
+    if INDETERMINATE in verdicts:
         return EXIT_INDETERMINATE
     return EXIT_OK
 

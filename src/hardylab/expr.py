@@ -14,12 +14,13 @@ reported by :func:`singular_points` so quadrature can split there.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import struct
 import textwrap
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -149,6 +150,80 @@ def sgn(a: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# node kinds
+
+
+class _Kind(NamedTuple):
+    """One node kind's rules in its arguments ``a`` and ``b`` (a unary
+    node's ``b`` is its ``a``, and ``db`` its ``da``)."""
+
+    statement: str  # generated scalar code over the names a, b; v names the value
+    grid: Callable  # (a, b) -> the values on arrays
+    derivative: Callable  # (a, b, da, db) -> the derivative's tree
+    domain: Callable | None = None  # (a, b) -> where the scalar code raises EvalDomainError
+    kinks: Callable = lambda a, b: ()  # (a, b) -> trees whose zeros are kinks
+
+
+def _power_derivative(a, b, da, db):
+    if _is_const(b):
+        return mul(mul(b, pow_(a, const(b.value - 1.0))), da)
+    return mul(pow_(a, b), add(mul(db, log(a)), mul(b, div(da, a))))
+
+
+def _power_kinks(a, b):
+    # a zero of the base is no kink under the exponents 0, 1 and whole n >= 2
+    v = b.value if _is_const(b) else math.nan
+    return () if v >= 2.0 and v.is_integer() or v == 1.0 or v == 0.0 else (a,)
+
+
+def _min_max(sign: Callable) -> Callable:
+    # (da + db -/+ sgn(a - b) (da - db)) / 2, the derivative of min/max
+    return lambda a, b, da, db: mul(const(0.5), sign(add(da, db), mul(sgn(sub(a, b)), sub(da, db))))
+
+
+class _Table(dict):
+    def __missing__(self, kind):
+        raise ValueError(f"unknown node kind {kind!r}")
+
+
+# Every node kind but ``const`` and ``x``.  The inline ``pow`` for a positive
+# base is what ``_pow`` does there; min and max are Python's, NaN included.
+_KINDS = _Table({
+    "neg": _Kind("{v} = -{a}", lambda a, b: -a, lambda a, b, da, db: neg(da)),
+    "abs": _Kind("{v} = abs({a})", lambda a, b: np.abs(a),
+                 lambda a, b, da, db: mul(sgn(a), da), kinks=lambda a, b: (a,)),
+    "sgn": _Kind("{v} = 1.0 if {a} > 0.0 else -1.0 if {a} < 0.0 else 0.0",
+                 lambda a, b: np.where(a > 0.0, 1.0, np.where(a < 0.0, -1.0, 0.0)),
+                 lambda a, b, da, db: const(0.0), kinks=lambda a, b: (a,)),
+    "exp": _Kind("try:\n    {v} = exp({a})\nexcept OverflowError:\n    {v} = inf",
+                 lambda a, b: np.exp(a), lambda a, b, da, db: mul(exp(a), da)),
+    "log": _Kind("if {a} <= 0.0:\n"
+                 "    raise EvalDomainError(f'log of nonpositive value {{{a}!r}}', x)\n"
+                 "{v} = log({a})",
+                 lambda a, b: np.log(a), lambda a, b, da, db: div(da, a),
+                 domain=lambda a, b: a <= 0.0, kinks=lambda a, b: (a,)),
+    "+": _Kind("{v} = {a} + {b}", operator.add, lambda a, b, da, db: add(da, db)),
+    "-": _Kind("{v} = {a} - {b}", operator.sub, lambda a, b, da, db: sub(da, db)),
+    "*": _Kind("{v} = {a} * {b}", operator.mul,
+               lambda a, b, da, db: add(mul(da, b), mul(a, db))),
+    # emit puts _DIVISION_GUARD after the denominator's code, before the numerator's
+    "/": _Kind("{v} = {a} / {b}", operator.truediv,
+               lambda a, b, da, db: div(sub(mul(da, b), mul(a, db)), pow_(b, const(2.0))),
+               domain=lambda a, b: b == 0.0, kinks=lambda a, b: (b,)),
+    "^": _Kind("if {a} > 0.0:\n    try:\n        {v} = pow({a}, {b})\n"
+               "    except OverflowError:\n        {v} = inf\n"
+               "else:\n    {v} = _pow({a}, {b}, x)",
+               np.power, _power_derivative, kinks=_power_kinks,
+               domain=lambda a, b: ((a == 0.0) & (b < 0.0))
+               | ((a < 0.0) & ((b != np.floor(b)) | np.isinf(b)))),
+    "min": _Kind("{v} = {b} if {b} < {a} else {a}", lambda a, b: np.where(b < a, b, a),
+                 _min_max(sub), kinks=lambda a, b: (sub(a, b),)),
+    "max": _Kind("{v} = {b} if {b} > {a} else {a}", lambda a, b: np.where(b > a, b, a),
+                 _min_max(add), kinks=lambda a, b: (sub(a, b),)),
+})
+
+
+# ---------------------------------------------------------------------------
 # evaluation
 
 
@@ -192,31 +267,6 @@ def compile_integrand(template: str, trees: tuple) -> Callable[..., Callable[[fl
     return _compile_cached(trees, template)
 
 
-# One statement template per node kind: ``v`` names the node's value, ``a``
-# and ``b`` its arguments'.  The inline ``pow`` for a positive base is what
-# ``_pow`` does there.
-_STATEMENTS = {
-    "neg": "{v} = -{a}",
-    "abs": "{v} = abs({a})",
-    "sgn": "{v} = 1.0 if {a} > 0.0 else -1.0 if {a} < 0.0 else 0.0",
-    "exp": "try:\n    {v} = exp({a})\nexcept OverflowError:\n    {v} = inf",
-    "log": (
-        "if {a} <= 0.0:\n"
-        "    raise EvalDomainError(f'log of nonpositive value {{{a}!r}}', x)\n"
-        "{v} = log({a})"
-    ),
-    "+": "{v} = {a} + {b}",
-    "-": "{v} = {a} - {b}",
-    "*": "{v} = {a} * {b}",
-    "/": "{v} = {a} / {b}",
-    "^": (
-        "if {a} > 0.0:\n"
-        "    try:\n        {v} = pow({a}, {b})\n    except OverflowError:\n        {v} = inf\n"
-        "else:\n    {v} = _pow({a}, {b}, x)"
-    ),
-    "min": "{v} = {b} if {b} < {a} else {a}",  # Python's min(a, b), NaN included
-    "max": "{v} = {b} if {b} > {a} else {a}",
-}
 # placed after the denominator and before the numerator is evaluated
 _DIVISION_GUARD = "if {b} == 0.0:\n    raise EvalDomainError('division by zero', x)"
 _SLOT = re.compile(r"\{(\d+)\}")
@@ -248,8 +298,7 @@ def _compile_cached(e, template: str | None = None):
                 names[key] = f"c{len(names)}"
                 env[names[key]] = node.value
             return names[key]
-        if kind not in _STATEMENTS:
-            raise ValueError(f"unknown node kind {kind!r}")
+        row = _KINDS[kind]
         if kind == "/":
             b = emit(node.args[1])
             guard_at = len(lines)
@@ -262,7 +311,7 @@ def _compile_cached(e, template: str | None = None):
             v = names[key] = f"v{len(names)}"
             if kind == "/":
                 lines.insert(guard_at, _DIVISION_GUARD.format(b=b))
-            lines.append(_STATEMENTS[kind].format(v=v, a=a, b=b))
+            lines.append(row.statement.format(v=v, a=a, b=b))
         return names[key]
 
     trees = (e,) if template is None else e
@@ -307,36 +356,12 @@ def _grid(e: Expr, xs, bad):
         return np.full(xs.shape, e.value)
     if kind == "x":
         return xs
+    row = _KINDS[kind]
     a = _grid(e.args[0], xs, bad)
-    if kind == "neg":
-        return -a
-    if kind == "exp":
-        return np.exp(a)
-    if kind == "log":
-        bad |= a <= 0.0
-        return np.log(a)
-    if kind == "abs":
-        return np.abs(a)
-    if kind == "sgn":
-        return np.where(a > 0.0, 1.0, np.where(a < 0.0, -1.0, 0.0))
-    b = _grid(e.args[1], xs, bad)
-    if kind == "+":
-        return a + b
-    if kind == "-":
-        return a - b
-    if kind == "*":
-        return a * b
-    if kind == "/":
-        bad |= b == 0.0
-        return a / b
-    if kind == "^":
-        bad |= ((a == 0.0) & (b < 0.0)) | ((a < 0.0) & ((b != np.floor(b)) | np.isinf(b)))
-        return np.power(a, b)
-    if kind == "min":
-        return np.where(b < a, b, a)  # Python's min(a, b), NaN included
-    if kind == "max":
-        return np.where(b > a, b, a)
-    raise ValueError(f"unknown node kind {kind!r}")
+    b = _grid(e.args[1], xs, bad) if len(e.args) > 1 else a
+    if row.domain is not None:
+        bad |= row.domain(a, b)
+    return row.grid(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -355,41 +380,11 @@ def differentiate(e: Expr) -> Expr:
         return const(0.0)
     if kind == "x":
         return const(1.0)
-    if kind == "neg":
-        return neg(differentiate(e.args[0]))
-    if kind == "exp":
-        return mul(exp(e.args[0]), differentiate(e.args[0]))
-    if kind == "log":
-        return div(differentiate(e.args[0]), e.args[0])
-    if kind == "abs":
-        return mul(sgn(e.args[0]), differentiate(e.args[0]))
-    if kind == "sgn":
-        return const(0.0)
-    a, b = e.args[0], e.args[1] if len(e.args) > 1 else None
-    if kind == "+":
-        return add(differentiate(a), differentiate(b))
-    if kind == "-":
-        return sub(differentiate(a), differentiate(b))
-    if kind == "*":
-        return add(mul(differentiate(a), b), mul(a, differentiate(b)))
-    if kind == "/":
-        num = sub(mul(differentiate(a), b), mul(a, differentiate(b)))
-        return div(num, pow_(b, const(2.0)))
-    if kind == "^":
-        da = differentiate(a)
-        if _is_const(b):
-            return mul(mul(b, pow_(a, const(b.value - 1.0))), da)
-        db = differentiate(b)
-        inner = add(mul(db, log(a)), mul(b, div(da, a)))
-        return mul(pow_(a, b), inner)
-    if kind in ("min", "max"):
-        da, db = differentiate(a), differentiate(b)
-        gap = sgn(sub(a, b))
-        half = const(0.5)
-        if kind == "min":
-            return mul(half, sub(add(da, db), mul(gap, sub(da, db))))
-        return mul(half, add(add(da, db), mul(gap, sub(da, db))))
-    raise ValueError(f"unknown node kind {kind!r}")
+    row = _KINDS[kind]
+    a, b = e.args[0], e.args[-1]
+    da = differentiate(a)
+    # a unary node's b is its a: differentiating it twice is exponential in depth
+    return row.derivative(a, b, da, da if len(e.args) == 1 else differentiate(b))
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +408,8 @@ def _render(e: Expr, parent_prec: int) -> str:
         return f"({e.value!r})" if negative_base else repr(e.value)
     if kind == "x":
         return "x"
-    if kind in ("exp", "log", "abs", "sgn"):
-        return f"{kind}({_render(e.args[0], 0)})"
-    if kind in ("min", "max"):
-        return f"{kind}({_render(e.args[0], 0)}, {_render(e.args[1], 0)})"
+    if kind in _ARITY:
+        return f"{kind}({', '.join(_render(arg, 0) for arg in e.args)})"
     if kind == "neg":
         body = _render(e.args[0], _PRECEDENCE["neg"])
         text = f"-{body}"
@@ -623,24 +616,8 @@ class SingularScan:
 def _singularity_generators(e: Expr, acc: list):
     """Collect the expressions whose zeros make ``e`` or its derivative
     non-smooth or undefined."""
-    kind = e.kind
-    if kind == "/":
-        acc.append(e.args[1])
-    elif kind == "log":
-        acc.append(e.args[0])
-    elif kind in ("abs", "sgn"):
-        acc.append(e.args[0])
-    elif kind in ("min", "max"):
-        acc.append(sub(e.args[0], e.args[1]))
-    elif kind == "^":
-        base, expo = e.args
-        if _is_const(expo):
-            v = expo.value
-            smooth = v >= 2.0 and v == math.floor(v) or v == 1.0 or v == 0.0
-            if not smooth:
-                acc.append(base)
-        else:
-            acc.append(base)
+    if e.args:
+        acc.extend(_KINDS[e.kind].kinks(e.args[0], e.args[-1]))
     for child in e.args:
         _singularity_generators(child, acc)
 

@@ -63,7 +63,7 @@ _GK15 = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadratureResult:
     value: float
     error_bound: float
@@ -112,8 +112,6 @@ def _adaptive_gk(f, a, b, tol_rel, tol_abs):
         neg_err, _, lo, hi, val, e, depth = heapq.heappop(heap)
         if depth >= MAX_DEPTH:
             frozen.append((neg_err, 0, lo, hi, val, e, depth))
-            if not heap:
-                break
             continue
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:

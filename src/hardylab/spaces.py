@@ -30,6 +30,7 @@ from .quadrature import (
     DEFAULT_TOL,
     DEFAULT_TOL_ABS,
     STATUS_DIVERGENT,
+    ZERO_RESULT,
     QuadratureResult,
     integrate,
 )
@@ -199,7 +200,7 @@ def modular(
     if mu is not None:
         splits.update(mu.split_points)
     if not lo < hi:
-        return QuadratureResult(0.0, 0.0, 0, "converged")
+        return ZERO_RESULT
 
     flags = (math.isfinite(lo), math.isfinite(hi))
     return integrate(

@@ -35,7 +35,7 @@ from .expr import (
     singular_points,
     to_string,
 )
-from .instance import HardyInstance, build_measures, check_admissibility, log_measure
+from .instance import INDETERMINATE, HardyInstance, build_measures, check_admissibility, log_measure
 from .quadrature import (
     DEFAULT_TOL,
     DEFAULT_TOL_ABS,
@@ -48,7 +48,6 @@ from .spaces import Integrand, VariableExponent, modular
 
 PASS = "pass"
 FAIL = "fail"
-INDETERMINATE = "indeterminate"
 
 # Midpoint samples across a test function's support, for checking the
 # expression given to from_expr and for locating where a function crosses 1.

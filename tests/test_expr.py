@@ -8,6 +8,7 @@ from hardylab import expr
 from hardylab.errors import EvalDomainError, ParseError, UnknownIdentifierError
 from hardylab.expr import (
     X,
+    Expr,
     Interval,
     add,
     compile_fn,
@@ -260,6 +261,34 @@ def test_singular_points_examples():
 def test_singular_points_polynomial_empty():
     assert singular_points(parse("x^3 - 2*x + 1"), Interval(-2, 2)) == []
     assert singular_points(parse("(1 - x^2)^3"), Interval(-2, 2)) == []
+
+
+def test_an_infinite_constant_exponent_makes_its_base_a_generator():
+    # 1e999 reads as inf, which no whole-number test may convert to an int
+    generators = []
+    expr._singularity_generators(parse("2 + (x - 0.5)^1e999"), generators)
+    assert generators == [parse("x - 0.5")]
+    assert singular_points(parse("2 + (x - 0.5)^1e999"), Interval(0, 1)) == [0.5]
+
+
+def test_differentiate_visits_each_node_of_a_unary_chain_once(monkeypatch):
+    # a unary node has one argument to differentiate, not two: the calls
+    # grow with the depth, not with 2 ** depth
+    real = expr.differentiate
+    calls = []
+
+    def counting(e):
+        calls.append(e)
+        return real(e)
+
+    monkeypatch.setattr(expr, "differentiate", counting)
+    kinds = ("neg", "exp", "log", "abs", "sgn")
+    e = X
+    for depth in range(1, 21):
+        e = Expr(kinds[depth % len(kinds)], (e,))
+        calls.clear()
+        counting(e)
+        assert len(calls) == depth + 1
 
 
 def test_singular_scan_scans_each_distinct_generator_once(monkeypatch):

@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 
 from hardylab import expr, instance, spaces, verify
 from hardylab.errors import EvalDomainError
-from hardylab.expr import Interval, compile_fn, eval_grid, golden_min, parse
+from hardylab.expr import Expr, Interval, compile_fn, eval_grid, golden_min, parse
 from hardylab.instance import ADMISSIBILITY_GRID, check_admissibility, preset
 from hardylab.sharpness import hardy_cutoff
 
@@ -134,6 +134,34 @@ def test_eval_grid_equals_closure_for_exact_operations(text):
 def test_eval_grid_within_4_ulp_of_closure(text):
     e = parse(text)
     _assert_close(eval_grid(e, _POINTS), _scalar_values(e, _POINTS), 4)
+
+
+# inf, NaN, signed zeros, the smallest subnormal, whole and fractional values
+_SPECIAL = np.array([
+    -math.inf, -1e300, -2.5, -2.0, -1.0, -0.5, -0.0, 0.0, 5e-324,
+    0.5, 1.0, 2.0, 3.0, 1e300, math.inf, math.nan,
+])
+
+
+@pytest.mark.parametrize("kind", sorted(expr._KINDS))
+def test_domain_mask_marks_exactly_where_the_scalar_code_raises(kind):
+    # the first argument runs over the points, the second over the constants
+    row = expr._KINDS[kind]
+    binary = "{b}" in row.statement
+    for c in _SPECIAL.tolist() if binary else [None]:
+        e = Expr(kind, (expr.X, expr.const(c)) if binary else (expr.X,))
+        b = np.full(_SPECIAL.shape, c) if binary else _SPECIAL
+        with np.errstate(all="ignore"):
+            mask = np.zeros(_SPECIAL.shape, bool) if row.domain is None else row.domain(_SPECIAL, b)
+        fn = compile_fn(e)
+        for x, masked in zip(_SPECIAL.tolist(), mask.tolist()):
+            try:
+                fn(x)
+                raised = False
+            except EvalDomainError:
+                raised = True
+            assert raised == masked, (kind, x, c)
+        assert np.isnan(eval_grid(e, _SPECIAL)[mask]).all()
 
 
 def test_eval_grid_domain_errors_are_nan():

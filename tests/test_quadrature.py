@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hardylab import quadrature
 from hardylab.expr import Interval
 from hardylab.quadrature import (
     STATUS_CONVERGED,
+    ZERO_RESULT,
     STATUS_DIVERGENT,
     STATUS_MAX_DEPTH,
     integrate,
@@ -318,3 +320,11 @@ def test_single_pass_reports_every_evaluation(monkeypatch):
     assert panel_calls == [(-1.0, 0.0), (0.0, 1.0)]
     assert r.evaluations == len(evaluations) == 30
     assert r.status == STATUS_MAX_DEPTH
+
+
+def test_a_result_is_frozen():
+    # ZERO_RESULT is one instance, shared by every report without a log term
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ZERO_RESULT.value = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        integrate(lambda x: x, Interval(0, 1)).status = STATUS_DIVERGENT
