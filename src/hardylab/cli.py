@@ -363,7 +363,10 @@ def cmd_reproduce(name: str, cfg: dict) -> int:
         print(f"unknown scenario {name!r}; available: {', '.join(sorted(SCENARIOS))}")
         return EXIT_USAGE
     scenario = SCENARIOS[name]
+    # the scenario's [instance] replaces the configured one; its other
+    # sections layer over the configured ones
     merged = {section: dict(values) for section, values in cfg.items()}
+    merged["instance"] = {}
     for section, values in scenario.items():
         merged.setdefault(section, {}).update(values)
     print(f"scenario {name}: check")

@@ -7,7 +7,8 @@ range) are handled by double-exponential (tanh-sinh) quadrature; smooth
 panels use adaptive 7-15 Gauss-Kronrod refinement.  Panel results are summed
 in panel order, so results are deterministic.  Each tanh-sinh level reuses
 the integrand values of the coarser levels' nodes, so ``evaluations`` counts
-distinct integrand calls.
+distinct integrand calls.  A flagged side's divergence is judged once, on
+its level 0 terms, by ``_diverging``.
 
 The integrand contract: ``f`` is called only strictly inside the panels (a
 tanh-sinh node that rounds onto an end stops that side), and a call that
@@ -24,6 +25,7 @@ distances stay resolvable down to the denormal range.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -105,16 +107,11 @@ def _adaptive_gk(f, a, b, tol_rel, tol_abs):
         total_val = sum(item[4] for item in heap) + sum(item[4] for item in frozen)
         total_err = sum(item[5] for item in heap) + sum(item[5] for item in frozen)
         budget = max(tol_abs, tol_rel * abs(total_val))
-        if total_err <= budget or not heap:
-            break
-        if counter > 4000:
+        if total_err <= budget or not heap or counter > 4000:
             break
         neg_err, _, lo, hi, val, e, depth = heapq.heappop(heap)
-        if depth >= MAX_DEPTH:
-            frozen.append((neg_err, 0, lo, hi, val, e, depth))
-            continue
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        if depth >= MAX_DEPTH or not lo < mid < hi:
             frozen.append((neg_err, 0, lo, hi, val, e, depth))
             continue
         v1, e1 = _gk15(f, lo, mid)
@@ -160,6 +157,19 @@ _TAIL_J = int(2.0 / _FINE_H)       # index of t = 2, where tails may be truncate
 _NODES = [_tanh_sinh_nodes(j * _FINE_H) for j in range(_FINE_K + 1)]
 
 
+def _diverging(terms, wall_hit) -> bool:
+    """Level 0 of a flagged side diverges when its partial sums at the tail
+    marks t = 0.5, 1.0, ..., 4.5, rebuilt from its first nine ``terms``,
+    double eight times in a row, or still double as a node hits the
+    floating-point resolution wall (``wall_hit``).  Only geometric growth
+    is caught: a logarithmic divergence grows linearly in t and slips past."""
+    marks = [abs(s) for s in itertools.accumulate(itertools.islice(terms.values(), 9))]
+    ratios = [hi / lo if lo > 0 else 0.0 for lo, hi in zip(marks, marks[1:])]
+    if not ratios:
+        return False
+    return (len(ratios) == 8 and all(r >= 2.0 for r in ratios)) or (wall_hit and ratios[-1] >= 2.0)
+
+
 def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
     """Double-exponential quadrature on a finite panel.
 
@@ -167,13 +177,13 @@ def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
     truncated once terms decay below the panel tolerance.  Level l + 1's
     even nodes are level l's nodes, so each node's term w * f (and the
     midpoint's value) is kept per panel and every node is evaluated once;
-    each level's sum is still formed over all of its nodes in order.  On a
-    flagged singular side, partial sums are tracked at half-unit tail marks;
-    eight consecutive doublings (or any non-finite term) flag the panel as
-    holding a non-integrable singularity.
+    each level's sum is still formed over all of its nodes in order.  After
+    level 0 of a flagged singular side, :func:`_diverging` (or, at any
+    level, a non-finite term) flags the panel as holding a non-integrable
+    singularity.
     """
     half = 0.5 * (b - a)
-    # truncation threshold on a node's actual contribution (term * h * half)
+    # truncation threshold on a node's actual contribution (term * contrib_scale)
     trunc = max(1e-3 * tol_abs, 1e-280)
     prev = None
     value = 0.0
@@ -187,25 +197,19 @@ def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
     if not math.isfinite(fx0):
         return fx0, abs(fx0), evals, STATUS_DIVERGENT
     saw_nonzero = fx0 != 0.0
-    seen = {-1: {}, +1: {}}  # node index on the finest mesh -> w * f, per side
+    # per side: origin, step (b + (-half)d == b - half*d), flag, and the
+    # terms w * f by node index on the finest mesh
+    sides = ((a, half, left_singular, {}), (b, -half, right_singular, {}))
     for level in range(_MAX_LEVEL + 1):
-        h = 0.5 ** (level + 1)
         stride = 1 << (_MAX_LEVEL - level)
-        contrib_scale = h * half
+        contrib_scale = 0.5 ** (level + 1) * half
         total = 0.0
         total += _NODES[0][1] * fx0
-
-        for side in (-1, +1):
-            flagged = left_singular if side < 0 else right_singular
-            origin, step = (a, half) if side < 0 else (b, -half)  # b + (-h)d == b - hd
-            track = level == 0 and flagged
-            terms = seen[side]
+        for origin, step, flagged, terms in sides:
             partial = 0.0
             small_streak = 0
-            marks = []  # |partial sum| at t = 0.5, 1.0, ..., 4.5
             wall_hit = False
-            j = stride
-            while j <= _FINE_K:
+            for j in range(stride, _FINE_K + 1, stride):
                 term = terms.get(j)
                 if term is None:
                     delta, w = _NODES[j]
@@ -223,34 +227,21 @@ def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
                         fx = math.inf
                     evals += 1
                     if not math.isfinite(fx):
-                        if flagged:
-                            return math.inf, math.inf, evals, STATUS_DIVERGENT
-                        return fx, abs(fx), evals, STATUS_DIVERGENT
+                        bad = math.inf if flagged else fx
+                        return bad, abs(bad), evals, STATUS_DIVERGENT
                     term = terms[j] = w * fx
                     saw_nonzero = saw_nonzero or term != 0.0
                 partial += term
-                if track and j * _FINE_H <= 4.5:  # level 0's nodes are the marks
-                    marks.append(abs(partial))
                 if j >= _TAIL_J and abs(term) * contrib_scale < trunc:
                     small_streak += 1
                     if small_streak >= 3:
                         break
                 else:
                     small_streak = 0
-                j += stride
             total += partial
-            if track and len(marks) >= 2:
-                ratios = [
-                    marks[i + 1] / marks[i] if marks[i] > 0 else 0.0
-                    for i in range(len(marks) - 1)
-                ]
-                diverging = len(ratios) >= 8 and all(r >= 2.0 for r in ratios[:8])
-                # a tail that still doubles when it hits the floating-point
-                # resolution wall is dominated by unresolvable endpoint mass
-                diverging = diverging or (wall_hit and ratios[-1] >= 2.0)
-                if diverging:
-                    v = total * contrib_scale
-                    return v, abs(v), evals, STATUS_DIVERGENT
+            if level == 0 and flagged and _diverging(terms, wall_hit):
+                v = total * contrib_scale
+                return v, abs(v), evals, STATUS_DIVERGENT
 
         value = total * contrib_scale
         if not math.isfinite(value):
@@ -263,7 +254,6 @@ def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
                 return value, max(err, floor), evals, STATUS_CONVERGED
         prev = value
 
-    floor = 4.0 * trunc if saw_nonzero else 0.0
     return value, max(err if math.isfinite(err) else abs(value), floor), evals, STATUS_MAX_DEPTH
 
 
@@ -284,29 +274,24 @@ def _map_infinite(f, c, sign):
 def _build_panels(f, interval, split_at, endpoint_singular, singular_splits=()):
     """Panels ``(f, a, b, left_singular, right_singular)`` in order."""
     a, b = interval.lo, interval.hi
-    left_flag, right_flag = endpoint_singular
-    splits = sorted({s for s in split_at if a < s < b and math.isfinite(s)})
+    splits = sorted({s for s in split_at if a < s < b})
     if math.isinf(a) and math.isinf(b) and not splits:
         splits = [0.0]
-    hot = set()
-    for s in singular_splits:
-        for q in splits:
-            if abs(q - s) <= 1e-12 * (1.0 + abs(s)):
-                hot.add(q)
+    # the singular panel ends: flagged interval ends, and the splits that
+    # match a singular split
+    hot = {end for end, flagged in zip((a, b), endpoint_singular) if flagged}
+    hot.update(q for q in splits for s in singular_splits if abs(q - s) <= 1e-12 * (1.0 + abs(s)))
 
-    edges = [a] + splits + [b]
+    edges = [a, *splits, b]
     panels = []
-    for i in range(len(edges) - 1):
-        lo, hi = edges[i], edges[i + 1]
-        lflag = (left_flag if i == 0 else False) or lo in hot
-        rflag = (right_flag if i == len(edges) - 2 else False) or hi in hot
+    for lo, hi in zip(edges, edges[1:]):
         # a mapped infinite side sits at t = 1 and is always singular
         if math.isinf(hi):
-            panels.append((_map_infinite(f, lo, 1.0), 0.0, 1.0, lflag, True))
+            panels.append((_map_infinite(f, lo, 1.0), 0.0, 1.0, lo in hot, True))
         elif math.isinf(lo):
-            panels.append((_map_infinite(f, hi, -1.0), 0.0, 1.0, rflag, True))
+            panels.append((_map_infinite(f, hi, -1.0), 0.0, 1.0, hi in hot, True))
         else:
-            panels.append((f, lo, hi, lflag, rflag))
+            panels.append((f, lo, hi, lo in hot, hi in hot))
     return panels
 
 

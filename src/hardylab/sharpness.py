@@ -172,8 +172,8 @@ class ScanResult:
 
     @property
     def best_ratio(self) -> float:
-        """The smallest sampled ratio."""
-        return min(entry.ratio for entry in self.trace)
+        """The smallest sampled ratio that is not NaN; NaN when all are."""
+        return min((e.ratio for e in self.trace if not math.isnan(e.ratio)), default=math.nan)
 
 
 def scan(inst: HardyInstance) -> ScanResult:

@@ -170,6 +170,25 @@ def test_reproduce_unknown_scenario(tmp_path):
     assert main(["reproduce", "does-not-exist", "--out", str(tmp_path / "o")]) == EXIT_USAGE
 
 
+def test_reproduce_replaces_the_configured_instance_with_the_scenarios(tmp_path):
+    # a configured A would subtract 0.5 from cor64's closed-form condition
+    out = tmp_path / "out"
+    names = ("cor64-affine-check.json", "cor64-affine-verify.json")
+    cfg = _write_config(tmp_path, "[instance]\nA = 0.5\n")
+    records = []
+    for config in ([], ["--config", cfg]):
+        assert main(["reproduce", "cor64-affine", *config, "--out", str(out)]) == EXIT_OK
+        records.append([parse_json((out / name).read_bytes()) for name in names])
+    for want, got in zip(*records):
+        assert (got.config_hash, got.instance, got.payload) == (want.config_hash, want.instance, want.payload)
+
+
+def test_reproduce_ignores_instance_keys_from_the_environment(tmp_path, monkeypatch):
+    # cor51 has no parameter D, so it used to exit 2 on an unread key
+    monkeypatch.setenv("HARDYLAB_INSTANCE_D", "3")
+    assert main(["reproduce", "cor51", "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
 def test_reproduce_scenario_names_complete():
     names = set(SCENARIOS)
     assert {

@@ -167,6 +167,57 @@ def test_divergence_without_overflow_uses_doubling_marks():
     assert r.status == STATUS_DIVERGENT
 
 
+def _level0_terms(terms):
+    # a side's terms at level 0: one per half unit of t, by finest-mesh index
+    return {(k + 1) << quadrature._MAX_LEVEL: term for k, term in enumerate(terms)}
+
+
+DOUBLING = (1.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)  # sums 1, 2, ..., 256
+
+
+@pytest.mark.parametrize(
+    "terms, wall_hit, diverging",
+    [
+        (DOUBLING, False, True),  # eight doublings
+        (DOUBLING + (1e9,), False, True),  # only the marks up to t = 4.5 count
+        (DOUBLING[:8], False, False),  # seven doublings, then the side ended
+        (DOUBLING[:8] + (0.0,), False, False),  # seven doublings, then flat
+        (DOUBLING[:8] + (0.0,), True, False),  # flat when the wall is hit
+        ((1.0, 1.0, 2.0), True, True),  # still doubling at the wall
+        ((1.0, 1.0, 2.0), False, False),  # three marks without the wall
+        ((1.0, 1.0, 1.0), True, False),  # last ratio 1.5 at the wall
+        ((5.0,), True, False),  # a single mark has no ratio
+        ((0.0,) + DOUBLING[:8], False, False),  # a zero mark's ratio reads 0
+        ((0.0, 1.0), True, False),
+    ],
+)
+def test_diverging_rule(terms, wall_hit, diverging):
+    assert quadrature._diverging(_level0_terms(terms), wall_hit) is diverging
+
+
+@pytest.mark.parametrize(
+    "interval, split_at, flags, singular_splits, panels",
+    [
+        ((0, 3), [2.0, 1.0], (True, True), [],
+         [(0.0, 1.0, True, False), (1.0, 2.0, False, False), (2.0, 3.0, False, True)]),
+        ((-1, 1), [0.5], (False, False), [0.5 * (1 + 5e-13)],
+         [(-1.0, 0.5, False, True), (0.5, 1.0, True, False)]),
+        ((-1, 1), [0.5], (False, False), [0.5 * (1 + 1e-11)],
+         [(-1.0, 0.5, False, False), (0.5, 1.0, False, False)]),
+        ((0, 1), [math.inf, -math.inf, math.nan, 0.0, 1.0, 0.5], (True, False), [],
+         [(0.0, 0.5, True, False), (0.5, 1.0, False, False)]),
+        ((-math.inf, math.inf), [], (False, False), [], [(0.0, 1.0, False, True)] * 2),
+        ((-math.inf, math.inf), [], (True, True), [0.0], [(0.0, 1.0, True, True)] * 2),
+    ],
+)
+def test_panel_ends_are_flagged_from_one_set(interval, split_at, flags, singular_splits, panels):
+    built = quadrature._build_panels(lambda x: x, Interval(*interval), split_at, flags, singular_splits)
+    assert [panel[1:] for panel in built] == panels
+    if math.isinf(interval[0]):
+        # the doubly infinite domain splits at 0: x = -+t/(1-t), dx = dt/(1-t)^2
+        assert [panel[0](0.5) for panel in built] == [-4.0, 4.0]
+
+
 def test_log_singularity_integrable():
     r = integrate(lambda x: math.log(x), Interval(0, 1), endpoint_singular=(True, False))
     assert r.status == STATUS_CONVERGED

@@ -114,6 +114,16 @@ def test_scan_recovers_the_classical_constant(classical_scan):
     assert abs(res.limit - 1.0) <= res.limit_error < 1e-4
 
 
+@pytest.mark.parametrize(
+    "ratios, best",
+    [((math.nan, 1.2), 1.2), ((1.2, math.nan), 1.2), ((1.3, math.nan, 1.2), 1.2), ((math.nan, math.nan), math.nan)],
+)
+def test_best_ratio_skips_nan_ratios_wherever_they_sit(ratios, best):
+    trace = [sharpness.TraceEntry(w, r, 0.0) for w, r in zip(WIDTHS, ratios)]
+    result = sharpness.ScanResult(trace, math.nan, math.inf, "indeterminate")
+    assert repr(result.best_ratio) == repr(best)  # repr(nan) == 'nan'; nan != nan
+
+
 def test_scan_determinism(classical, classical_scan):
     again = scan(classical)
     assert again.limit == classical_scan.limit
