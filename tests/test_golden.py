@@ -3,6 +3,10 @@
 ``luxemburg-norms`` norms must reproduce ``tests/golden.json`` exactly.  Each
 case stores its verdict and margin and, per integral, the value, error bound,
 evaluations and status; every float is stored and compared as its hex form.
+The ``instances`` entry guards the trees of the ten ``reproduce`` scenarios:
+per scenario, the printed ``p``, ``u``, ``phi``, ``sigma``, closed-form
+condition and the densities of mu1, mu2 and mu3, then the instance's and
+the measures' split points in hex.
 
 A change that must leave every result bit-identical keeps this test passing
 as it is.  A change that moves results on purpose (ROADMAP items 1, 6, 8, 9
@@ -19,6 +23,9 @@ import json
 import math
 from pathlib import Path
 
+from hardylab.cli import SCENARIOS, build_instance
+from hardylab.expr import to_string
+from hardylab.instance import build_measures, log_measure
 from oracles import perfbench_workloads
 
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
@@ -35,6 +42,16 @@ def _integral(result):
     return [result.value.hex(), result.error_bound.hex(), result.evaluations, result.status]
 
 
+def _instance(name):
+    inst = build_instance({"instance": SCENARIOS[name]["instance"]})
+    mu1, mu2 = build_measures(inst)
+    mu3 = log_measure(inst)
+    trees = (inst.vp.p, inst.u, inst.phi, inst.sigma, inst.condition, mu1.density, mu2.density,
+             mu3 and mu3.density)
+    return [name, *(t and to_string(t) for t in trees),
+            [s.hex() for s in inst.split_points], [s.hex() for s in mu1.split_points]]
+
+
 def results() -> dict:
     workloads = perfbench_workloads()
     wl = workloads.VerifyCases(workloads.REFERENCE_SEED, None)
@@ -43,7 +60,8 @@ def results() -> dict:
         for rep in _run(wl, wl.block)
     ]
     norms = [norm.hex() for norm in _run(workloads.LuxemburgNorms(0, None), NORMS)]
-    return {"verify-cases": cases, "luxemburg-norms": norms}
+    instances = [_instance(name) for name in SCENARIOS]
+    return {"verify-cases": cases, "luxemburg-norms": norms, "instances": instances}
 
 
 def _leaves(entry):
