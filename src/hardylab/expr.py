@@ -111,6 +111,13 @@ def div(a: Expr, b: Expr) -> Expr:
         return const(0.0)
     if _is_const(b, 1.0):
         return a
+    # a quotient of constants folds when it is finite and nonzero; a zero or
+    # infinite constant would let the zero rules above and in mul fold away
+    # a term that evaluates to NaN
+    if _is_const(a) and _is_const(b) and b.value != 0.0:
+        q = a.value / b.value
+        if math.isfinite(q) and q != 0.0:
+            return const(q)
     return Expr("/", (a, b))
 
 
@@ -459,7 +466,8 @@ _BINARY = {"+": add, "-": sub, "*": mul, "/": div, "^": pow_}
 
 
 def parse(text: str, params: dict | None = None) -> Expr:
-    """Parse expression text; named parameters bind to constants now.
+    """Parse expression text; named parameters bind now, a number as a
+    constant and an ``Expr`` as that tree.
 
     Binary operators climb by :data:`_PRECEDENCE`, the printer's table; a
     unary sign takes an operand of the operators that bind tighter than it,
@@ -502,7 +510,8 @@ def parse(text: str, params: dict | None = None) -> Expr:
         if value == "x":
             return X
         if value in params:
-            return const(params[value])
+            bound = params[value]
+            return bound if isinstance(bound, Expr) else const(bound)
         raise UnknownIdentifierError(f"unknown identifier {value!r}", pos)
 
     def climb(min_prec: int) -> Expr:

@@ -7,16 +7,13 @@ Admissibility asks for pointwise nonnegativity of ``Phi u + sigma |u'|^p``
 and a strict gap between ``beta`` and the supremum of ``sigma``; both are
 verified on sampling grids, so verdicts are numerical, never proofs.
 
-Presets wire the library's built-in weight families (distance-to-boundary,
-power, reciprocal-power, exponential, and the constant-exponent reduction)
-with ``Phi`` chosen as the exact negative divergence term where ``u`` is
-smooth, and attach the closed-form expression whose nonnegativity is that
-family's admissibility condition; ``raw`` takes all six as given.
+Presets are the paper's weight families, one row of formulas each in
+``_PRESETS``, with the closed-form expression whose nonnegativity is the
+family's admissibility condition; ``raw`` takes all six data as given.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +21,6 @@ import numpy as np
 
 from .errors import InvalidParamsError, ZeroSetUnresolvedError
 from .expr import (
-    X,
     Expr,
     Interval,
     abs_,
@@ -34,7 +30,6 @@ from .expr import (
     differentiate,
     div,
     eval_grid,
-    exp,
     identifiers,
     interval_from_text,
     log,
@@ -45,6 +40,7 @@ from .expr import (
     sgn,
     singular_points,
     sub,
+    to_string,
     zero_scan,
 )
 from .quadrature import integrate
@@ -116,8 +112,8 @@ class HardyInstance:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise InvalidParamsError(f"beta must be positive, got {self.beta!r}")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise InvalidParamsError(f"beta must be finite and positive, got {self.beta!r}")
         self.u_prime = differentiate(self.u)
         self.p_prime = differentiate(self.vp.p)
         pts = set(self.vp.split_points)
@@ -135,8 +131,6 @@ class HardyInstance:
         return self.condition is not None and _is_zero_const(self.condition)
 
     def describe(self) -> dict:
-        from .expr import to_string
-
         return {
             "preset": self.preset,
             "params": dict(self.params),
@@ -380,184 +374,129 @@ def _is_zero_const(e: Expr) -> bool:
 # presets
 
 
+@dataclass(frozen=True)
+class _Preset:
+    """One instance family: its keys with their default texts (``None``
+    where required); ``u``, ``phi`` (``None``: the exact negative divergence
+    term), ``sigma`` and the closed-form ``condition`` in the grammar over the
+    numbers and the trees ``p``, ``dp`` (p'), ``sigma`` and ``A``; the interval
+    the domain must lie in, whose ends read the numbers and ``inf`` as a
+    default domain's do; the numbers that must be positive, trees constant."""
+
+    keys: dict
+    u: str
+    phi: str | None = None
+    sigma: str = "sigma"
+    condition: str | None = None
+    condition_name: str = ""
+    within: str | None = None
+    positive: tuple = ()
+    constant: tuple = ()
+
+
+# Corollary 5.3's condition for u = x^alpha, also constp's
+_POWER = "sigma*(alpha*alpha) - dp*(x*alpha)*log(abs(alpha*x^(alpha-1))) + (p-1)*(alpha*(1-alpha))"
+
+_PRESETS = {
+    "cor51": _Preset(
+        {"M": "1", "p": "2", "sigma": "1", "beta": "2", "domain": "-M, M"},
+        u="M - abs(x)", phi="0", condition="sigma", condition_name="sigma-nonnegative",
+        within="-M, M", positive=("M",),
+    ),
+    "cor53": _Preset(
+        {"alpha": "2", "p": "x+3", "sigma": "2", "beta": "3", "domain": "0, 1"},
+        u="x^alpha", condition=_POWER, condition_name="power-weight-condition",
+        within="0, inf",
+    ),
+    "cor54": _Preset(
+        {"a": "1", "p": "2", "sigma": "2.5", "beta": "3.5", "domain": "0.1, 10"},
+        u="a/x", condition="sigma + dp*x*log(a/x^2) - 2*p + 2",
+        condition_name="reciprocal-weight-condition", within="0, inf", positive=("a",),
+    ),
+    "cor55": _Preset(
+        {"p": "2", "sigma": "1", "beta": "2", "domain": "-5, 5"},
+        u="exp(x)", condition="sigma - dp*x - p + 1",
+        condition_name="exponential-weight-condition",
+    ),
+    "cor64": _Preset(
+        {"a": "1", "p": "x+2", "beta": "5", "domain": "0, 1", "A": "0"},
+        u="1/a*x^a", sigma="beta - 2/a*(p - 1)",
+        condition="a*beta + (1 - a)*(x*dp*log(x)) + (a - 3)*(p - 1) - A",
+        condition_name="normalized-power-condition", within="0, inf", positive=("a",),
+    ),
+    # sigma's default maximizes the induced weight constant for u = x^alpha
+    "constp": _Preset(
+        {"p": "2", "alpha": "0.5", "sigma": "1 - 1/(2*alpha)", "beta": "1", "domain": "0, inf"},
+        u="x^alpha", condition=_POWER, condition_name="power-weight-condition",
+        within="0, inf", constant=("p", "sigma"),
+    ),
+    "raw": _Preset(
+        {"domain": None, "p": None, "u": None, "sigma": None, "beta": None, "phi": "auto"},
+        u="u", phi="phi",
+    ),
+}
+
 _EXPR_KEYS = {"p", "u", "phi", "sigma", "A"}  # keys whose text is an expression of x
-
-
-def _require_positive_domain(domain: Interval, name: str):
-    if domain.lo < 0:
-        raise InvalidParamsError(f"{name} needs a domain inside the positive half-line")
 
 
 def preset(name: str, /, **params) -> HardyInstance:
     """Construct a named instance family with its admissibility condition
     attached; see ``docs/config.md`` for the parameters of each preset.  Any
     other key must be a name that an expression given as text reads (``d`` in
-    ``p = "1+d/(abs(x)+1)"``).  A text ``domain`` is parsed as ``"lo, hi"``.
+    ``p = "1+d/(abs(x)+1)"``), and is a number like the preset's own; every
+    number must be finite.  A text ``domain`` is parsed as ``"lo, hi"``.
     """
     if name not in _PRESETS:
         raise InvalidParamsError(f"unknown preset {name!r}")
-    fields = inspect.signature(_PRESETS[name]).parameters.values()
-    read = {f.name for f in fields if f.kind is not f.VAR_KEYWORD}
-    missing = [f.name for f in fields if f.default is f.empty and f.name in read - params.keys()]
+    row = _PRESETS[name]
+    args = {**row.keys, **params}
+    missing = [key for key, value in args.items() if value is None]
     if missing:
         raise InvalidParamsError(f"preset {name!r} is missing keys {missing}")
-    for key in _EXPR_KEYS & read & params.keys():
-        if isinstance(params[key], str) and not (key == "phi" and _is_auto(params[key])):
+    exprs = _EXPR_KEYS & row.keys.keys()
+    # raw's phi = auto is the exact negative divergence term, not an expression
+    auto = {"phi"} if str(args.get("phi")).strip().lower() == "auto" else set()
+    read = set(row.keys)
+    for key in (exprs - auto) & params.keys():
+        if isinstance(params[key], str):
             read |= identifiers(params[key])
     unread = [key for key in params if key not in read]
     if unread:
-        raise InvalidParamsError(
-            f"key {unread[0]!r} is not a parameter of preset {name!r}, "
-            "and no expression reads it"
-        )
-    if isinstance(params.get("domain"), str):
-        params["domain"] = interval_from_text(params["domain"])
-    inst = _PRESETS[name](**params)
-    inst.preset = name
-    return inst
+        raise InvalidParamsError(f"key {unread[0]!r} is not a parameter of preset {name!r}, "
+                                 "and no expression reads it")
+
+    numbers = {key: float(value) for key, value in args.items() if key not in exprs | {"domain"}}
+    for key, value in numbers.items():
+        if not math.isfinite(value) or key in row.positive and not value > 0:
+            asks = "finite and positive" if key in row.positive else "finite"
+            raise InvalidParamsError(f"{key} must be {asks}, got {value!r}")
+
+    def interval(text):  # "lo, hi", each end in the grammar over the numbers and inf
+        return Interval(*(parse(t, {**numbers, "inf": math.inf}).value for t in text.split(",")))
+
+    domain = args["domain"] if "domain" in params else interval(args["domain"])
+    if isinstance(domain, str):
+        domain = interval_from_text(domain)
+    if row.within is not None:
+        within = interval(row.within)
+        if domain.lo < within.lo or domain.hi > within.hi:
+            raise InvalidParamsError(f"{name} needs a domain in ({within.lo:g}, {within.hi:g})")
+
+    trees = {key: _parse_arg(args[key], numbers) for key in exprs - auto}
+    for key in row.constant:
+        if trees[key].kind != "const":
+            raise InvalidParamsError(f"{key} must be constant, got {to_string(trees[key])}")
+    names = {**numbers, **trees, "dp": differentiate(trees["p"])}
+    names["sigma"] = parse(row.sigma, names)
+    phi = None if row.phi is None or auto else parse(row.phi, names)
+    return make_instance(
+        domain, trees["p"], parse(row.u, names), phi, names["sigma"], numbers["beta"],
+        params={key: value for key, value in numbers.items() if key != "beta"},
+        condition=row.condition and parse(row.condition, names),
+        condition_name=row.condition_name,
+        preset=name,
+    )
 
 
 def preset_names() -> list[str]:
     return list(_PRESETS)
-
-
-def _preset_distance(M=1.0, p="2", sigma="1", beta=2.0, domain=None, **extra):
-    M = float(M)
-    if M <= 0:
-        raise InvalidParamsError(f"M must be positive, got {M!r}")
-    if domain is None:
-        domain = Interval(-M, M)
-    if domain.lo < -M or domain.hi > M:
-        raise InvalidParamsError("domain must sit inside (-M, M)")
-    bind = {"M": M, **extra}
-    sigma_e = _parse_arg(sigma, bind)
-    return make_instance(
-        domain, _parse_arg(p, bind), parse("M - abs(x)", {"M": M}),
-        const(0.0), sigma_e, beta,
-        params={"M": M, **extra},
-        condition=sigma_e,
-        condition_name="sigma-nonnegative",
-    )
-
-
-def _power_condition(alpha: float, p: Expr, sigma: Expr) -> Expr:
-    dp = differentiate(p)
-    a = const(alpha)
-    mid = mul(mul(dp, mul(X, a)), log(abs_(mul(a, pow_(X, const(alpha - 1.0))))))
-    return add(
-        sub(mul(sigma, const(alpha * alpha)), mid),
-        mul(sub(p, const(1.0)), const(alpha * (1.0 - alpha))),
-    )
-
-
-def _preset_power(alpha=2.0, p="x+3", sigma="2", beta=3.0, domain=Interval(0.0, 1.0), **extra):
-    alpha = float(alpha)
-    _require_positive_domain(domain, "cor53")
-    bind = {"alpha": alpha, **extra}
-    p_e, sigma_e = _parse_arg(p, bind), _parse_arg(sigma, bind)
-    cond = _power_condition(alpha, p_e, sigma_e)
-    return make_instance(
-        domain, p_e, pow_(X, const(alpha)), None, sigma_e, beta,
-        params={"alpha": alpha, **extra},
-        condition=cond,
-        condition_name="power-weight-condition",
-    )
-
-
-def _preset_reciprocal(a=1.0, p="2", sigma="2.5", beta=3.5, domain=Interval(0.1, 10.0), **extra):
-    a = float(a)
-    if a <= 0:
-        raise InvalidParamsError(f"a must be positive, got {a!r}")
-    _require_positive_domain(domain, "cor54")
-    bind = {"a": a, **extra}
-    p_e, sigma_e = _parse_arg(p, bind), _parse_arg(sigma, bind)
-    dp = differentiate(p_e)
-    cond = add(
-        sub(add(sigma_e, mul(mul(dp, X), log(div(const(a), pow_(X, const(2.0)))))),
-            mul(const(2.0), p_e)),
-        const(2.0),
-    )
-    return make_instance(
-        domain, p_e, div(const(a), X), None, sigma_e, beta,
-        params={"a": a, **extra},
-        condition=cond,
-        condition_name="reciprocal-weight-condition",
-    )
-
-
-def _preset_exponential(p="2", sigma="1", beta=2.0, domain=Interval(-5.0, 5.0), **extra):
-    bind = dict(extra)
-    p_e, sigma_e = _parse_arg(p, bind), _parse_arg(sigma, bind)
-    dp = differentiate(p_e)
-    cond = add(sub(sub(sigma_e, mul(dp, X)), p_e), const(1.0))
-    return make_instance(
-        domain, p_e, exp(X), None, sigma_e, beta,
-        params=dict(extra),
-        condition=cond,
-        condition_name="exponential-weight-condition",
-    )
-
-
-def _preset_power_normalized(a=1.0, p="x+2", beta=5.0, domain=Interval(0.0, 1.0), A=None, **extra):
-    a = float(a)
-    if a <= 0:
-        raise InvalidParamsError(f"a must be positive, got {a!r}")
-    _require_positive_domain(domain, "cor64")
-    bind = {"a": a, "beta": float(beta), **extra}
-    p_e = _parse_arg(p, bind)
-    dp = differentiate(p_e)
-    sigma_e = sub(const(float(beta)), mul(const(2.0 / a), sub(p_e, const(1.0))))
-    cond = add(
-        add(const(a * float(beta)), mul(const(1.0 - a), mul(mul(X, dp), log(X)))),
-        mul(const(a - 3.0), sub(p_e, const(1.0))),
-    )
-    if A is not None:
-        cond = sub(cond, _parse_arg(A, bind))
-    return make_instance(
-        domain, p_e, mul(const(1.0 / a), pow_(X, const(a))), None, sigma_e, beta,
-        params={"a": a, **extra},
-        condition=cond,
-        condition_name="normalized-power-condition",
-    )
-
-
-def _preset_constant_exponent(
-    p=2.0, alpha=0.5, sigma=None, beta=1.0, domain=Interval(0.0, math.inf), **extra
-):
-    bind = {"alpha": float(alpha), **extra}
-    p_e = _parse_arg(p, bind)
-    if p_e.kind != "const":
-        raise InvalidParamsError("constp needs a constant exponent")
-    _require_positive_domain(domain, "constp")
-    if sigma is None:
-        # the choice that maximizes the induced weight constant for u = x^alpha
-        sigma_e = const(1.0 - 1.0 / (2.0 * float(alpha)))
-    else:
-        sigma_e = _parse_arg(sigma, bind)
-    if sigma_e.kind != "const":
-        raise InvalidParamsError("constp needs a constant sigma")
-    return make_instance(
-        domain, p_e, pow_(X, const(float(alpha))), None, sigma_e, beta,
-        params={"alpha": float(alpha), **extra},
-        condition=_power_condition(float(alpha), p_e, sigma_e),
-        condition_name="power-weight-condition",
-    )
-
-
-def _is_auto(phi) -> bool:  # phi = "auto" is the exact negative divergence term
-    return isinstance(phi, str) and phi.strip().lower() == "auto"
-
-
-def _preset_raw(domain, p, u, sigma, beta, phi="auto", **extra):
-    return make_instance(domain, p, u, None if _is_auto(phi) else phi, sigma, beta, params=extra)
-
-
-_PRESETS = {
-    "cor51": _preset_distance,
-    "cor53": _preset_power,
-    "cor54": _preset_reciprocal,
-    "cor55": _preset_exponential,
-    "cor64": _preset_power_normalized,
-    "constp": _preset_constant_exponent,
-    "raw": _preset_raw,
-}

@@ -567,6 +567,11 @@ def test_bad_count_seed_and_max_ratio_exit_2_from_load_config(tmp_path, section,
         "preset = cor51\nM = wide",
         "preset = cor51\nbeta = big",
         "preset = raw\np = 2\nu = 1 - abs(x)\nsigma = 1\nbeta = big\ndomain = -1, 1",
+        "preset = cor51\nM = inf",  # would sample u = inf - abs(x) on the whole line
+        "preset = cor51\nbeta = inf",
+        "preset = cor54\na = nan",
+        "preset = cor53\nalpha = nan",
+        "preset = constp\nalpha = 0",  # the default sigma = 1 - 1/(2 alpha) divides by zero
     ],
 )
 def test_bad_instance_value_exits_2(tmp_path, capsys, body):

@@ -41,6 +41,9 @@ def test_parse_bound_parameter():
     e = parse("1 + d/(abs(x)+1)", {"d": 3})
     assert evaluate(e, 0.0) == 4.0
     assert evaluate(e, 2.0) == pytest.approx(2.0)
+    # a tree binds as itself, a subtree of the parsed one
+    q = parse("x^2")
+    assert parse("q - 1", {"q": q}) == expr.sub(q, const(1.0))
 
 
 def test_parse_whitespace_insensitive():
@@ -99,6 +102,34 @@ def _op(kind, a, b):
 )
 def test_parse_precedence_and_associativity(text, tree):
     assert parse(text) == tree
+
+
+@pytest.mark.parametrize(
+    "a, b, folds",
+    [
+        (6.0, 3.0, True),
+        (1.0, 3.0, True),
+        (1.0, 0.0, False),  # division by zero
+        (1e-300, 1e300, False),  # underflows to 0
+        (1e300, 1e-300, False),  # overflows to inf
+    ],
+)
+def test_div_folds_a_finite_nonzero_quotient_of_constants(a, b, folds):
+    unfolded = _op("/", const(a), const(b))
+    tree = expr.div(const(a), const(b))
+    assert tree == (const(a / b) if folds else unfolded)
+
+    def values(q):
+        fn = compile_fn(_op("-", _op("*", q, X), X))
+        out = []
+        for x in (-2.0, 0.0, 0.5, 3.0):
+            try:
+                out.append(struct.pack("<d", fn(x)))
+            except EvalDomainError:
+                out.append("domain")
+        return out
+
+    assert values(tree) == values(unfolded)
 
 
 def test_eval_basics():

@@ -311,6 +311,9 @@ def test_preset_invalid_params():
         preset("nonsense")
     with pytest.raises(InvalidParamsError):
         preset("cor53", alpha=2.0, domain=Interval(-1, 1))
+    # beta is checked where the instance is made, for every caller
+    with pytest.raises(InvalidParamsError, match="beta must be finite and positive"):
+        make_instance(Interval(0, 1), "2", "x", None, "0", math.inf)
 
 
 def test_classical_weight_from_constant_preset():
