@@ -44,7 +44,7 @@ from .expr import (
     zero_scan,
 )
 from .quadrature import integrate
-from .spaces import VariableExponent, validate_exponent
+from .spaces import VariableExponent, WeightedMeasure, validate_exponent
 
 BETA_MARGIN = 1e-9
 POINTWISE_TOL = 1e-12
@@ -53,23 +53,6 @@ ADMISSIBILITY_GRID = 10_000
 HOLDS = "holds-numerically"
 VIOLATED = "violated"
 INDETERMINATE = "indeterminate"
-
-
-@dataclass
-class WeightedMeasure:
-    """Density against Lebesgue measure, restricted by one indicator.
-
-    ``density`` is the closed-form expression on the supported region;
-    ``indicator`` is a (mode, expr) pair checked pointwise before the
-    density is evaluated ('positive' zeroes the density where expr <= 0,
-    'nonzero' where expr == 0).  Indicator boundaries and density
-    singularities are recorded in ``split_points`` so quadrature panels
-    stay smooth.
-    """
-
-    density: Expr
-    split_points: tuple
-    indicator: tuple
 
 
 @dataclass
@@ -443,7 +426,8 @@ def preset(name: str, /, **params) -> HardyInstance:
     """Construct a named instance family with its admissibility condition
     attached; see ``docs/config.md`` for the parameters of each preset.  Any
     other key must be a name that an expression given as text reads (``d`` in
-    ``p = "1+d/(abs(x)+1)"``), and is a number like the preset's own; every
+    ``p = "1+d/(abs(x)+1)"``) other than a tree name (``p``, ``u``, ``phi``,
+    ``sigma``, ``A``, ``dp``), and is a number like the preset's own; every
     number must be finite.  A text ``domain`` is parsed as ``"lo, hi"``.
     """
     if name not in _PRESETS:
@@ -453,6 +437,10 @@ def preset(name: str, /, **params) -> HardyInstance:
     missing = [key for key, value in args.items() if value is None]
     if missing:
         raise InvalidParamsError(f"preset {name!r} is missing keys {missing}")
+    shadows = [key for key in params if key in _EXPR_KEYS | {"dp"} and key not in row.keys]
+    if shadows:
+        raise InvalidParamsError(f"key {shadows[0]!r} is not a parameter of preset {name!r}, "
+                                 "and the formulas keep that name for a tree")
     exprs = _EXPR_KEYS & row.keys.keys()
     # raw's phi = auto is the exact negative divergence term, not an expression
     auto = {"phi"} if str(args.get("phi")).strip().lower() == "auto" else set()

@@ -160,14 +160,20 @@ _NODES = [_tanh_sinh_nodes(j * _FINE_H) for j in range(_FINE_K + 1)]
 def _diverging(terms, wall_hit) -> bool:
     """Level 0 of a flagged side diverges when its partial sums at the tail
     marks t = 0.5, 1.0, ..., 4.5, rebuilt from its first nine ``terms``,
-    double eight times in a row, or still double as a node hits the
-    floating-point resolution wall (``wall_hit``).  Only geometric growth
-    is caught: a logarithmic divergence grows linearly in t and slips past."""
-    marks = [abs(s) for s in itertools.accumulate(itertools.islice(terms.values(), 9))]
+    double eight times in a row, or when a node hits the floating-point
+    resolution wall (``wall_hit``) while the sums still double or the last
+    of those terms is at least 1.6 times the one before.  The second catches
+    a logarithmic divergence: the terms of ``1/x`` at 0 grow by nearly
+    ``e^0.5 = 1.65`` per mark (1.648 at t = 4.5), while those of an
+    integrable ``x^-0.99`` have turned down there (0.94)."""
+    firsts = list(itertools.islice(terms.values(), 9))
+    marks = [abs(s) for s in itertools.accumulate(firsts)]
     ratios = [hi / lo if lo > 0 else 0.0 for lo, hi in zip(marks, marks[1:])]
     if not ratios:
         return False
-    return (len(ratios) == 8 and all(r >= 2.0 for r in ratios)) or (wall_hit and ratios[-1] >= 2.0)
+    if len(ratios) == 8 and all(r >= 2.0 for r in ratios):
+        return True
+    return wall_hit and (ratios[-1] >= 2.0 or abs(firsts[-1]) >= 1.6 * abs(firsts[-2]) > 0.0)
 
 
 def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):

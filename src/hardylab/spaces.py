@@ -155,6 +155,23 @@ def _probe_integrability(vp: VariableExponent) -> None:
             )
 
 
+@dataclass
+class WeightedMeasure:
+    """Density against Lebesgue measure, restricted by one indicator.
+
+    ``density`` is the closed-form expression on the supported region;
+    ``indicator`` is a (mode, expr) pair checked pointwise before the
+    density is evaluated ('positive' zeroes the density where expr <= 0,
+    'nonzero' where expr == 0).  Indicator boundaries and density
+    singularities are recorded in ``split_points`` so quadrature panels
+    stay smooth.
+    """
+
+    density: Expr
+    split_points: tuple
+    indicator: tuple
+
+
 # The generated test under which an indicator (its expression's slot in
 # ``{}``) zeroes the density: NaN zeroes a 'positive' one, keeps a 'nonzero' one.
 INDICATOR_FAILS = {"positive": "not {} > 0.0", "nonzero": "{} == 0.0"}
@@ -217,14 +234,15 @@ BRACKET_CAP = 1e12
 # Relative and absolute tolerance of the modulars a norm rests on.
 NORM_TOL = 1e-9
 NORM_TOL_ABS = 1e-13
-# Relative tolerance of the secant's early modulars, used until a step moves
-# log(lambda) by at most LOOSE_STEP.
+# Relative tolerance of a variable-exponent norm's first modular, of its
+# secant steps until one moves log(lambda) by at most LOOSE_STEP, and of the
+# Newton steps' slopes.
 LOOSE_TOL = 1e-4
 LOOSE_STEP = 1e-6
 # Half-width, in log(lambda), added to the bracket from the sampled extrema.
 BRACKET_SLACK = 1e-3
-# Secant steps a norm takes, at both tolerances, before it falls back to the
-# bracket and Brent.
+# Secant and Newton steps a norm takes before it falls back to the bracket
+# and Brent.
 SECANT_STEPS = 12
 
 
@@ -233,38 +251,44 @@ def luxemburg_norm(f: Callable[[float], float], vp: VariableExponent) -> float:
     defined on the whole (open) domain of ``vp``.
 
     The norm lies between ``rho^(1/p_plus)`` and ``rho^(1/p_minus)`` for
-    ``rho = modular(f)`` at ``NORM_TOL`` (Diening, Harjulehto, Hasto and
-    Ruzicka, LNM 2017, Lemma 3.2.5).  A constant exponent gives
-    ``rho^(1/p)`` by homogeneity, corrected once at the scale of the answer
+    ``rho = modular(f)`` (Diening, Harjulehto, Hasto and Ruzicka, LNM 2017,
+    Lemma 3.2.5).  A constant exponent gives ``rho^(1/p)`` by homogeneity,
+    with ``rho`` at ``NORM_TOL``, corrected once at the scale of the answer
     (a second ``NORM_TOL`` modular) when ``rho`` is so small that the
     absolute quadrature floor bounded its error.
 
-    For a variable exponent secant steps solve ``g(t) = log modular(f / e^t)
-    = 0``, convex in ``t`` with slope in ``[-p_plus, -p_minus]`` and nearly
-    linear, from the known point ``(0, log rho)`` and the root for the mean
-    exponent.  It is an inexact secant (Dembo, Eisenstat and Steihaug, SIAM
-    J. Numer. Anal. 19, 1982): the early steps compute ``g`` at
-    ``LOOSE_TOL`` until a step moves ``t`` by at most ``LOOSE_STEP``.  Then
-    ``g`` is computed at ``NORM_TOL`` at the last iterate, one step is taken
-    with the last secant slope (kept within ``[-p_plus, -p_minus]``), and
-    secant steps on ``NORM_TOL`` values go on until a step moves ``t`` by
-    at most 1e-10.  So the solve ends only on a step from a ``NORM_TOL``
-    value; a loose value only picks where the ``NORM_TOL`` steps start.
-    A step outside the widened bracket, a non-finite or flat ``g`` or
-    ``SECANT_STEPS`` steps fall back to Brent's method on the bracket, on
-    ``NORM_TOL`` values only, to 1e-10 relative on lambda.  The extrema are
-    sampled, not proven, so the bracket's ends are halved or doubled until
-    they straddle the root; halving below 1e-15 returns 0.
+    A variable exponent solves ``g(t) = log modular(f / e^t) = 0``.  ``g``
+    is convex, its slope ``g' = -(mean of p under the density |f/e^t|^p)``
+    lies in ``[-p_plus, -p_minus]`` and its curvature ``g'' = Var(p)`` is at
+    most ``(p_plus - p_minus)^2 / 4``.  The solve is an inexact Newton method
+    (Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal. 19, 1982).  ``rho``
+    is computed at ``LOOSE_TOL``: it only seeds the bracket and secant steps
+    on ``LOOSE_TOL`` values, from ``(0, log rho)`` and the root for the mean
+    exponent, until a step moves ``t`` by at most ``LOOSE_STEP``.  Newton
+    steps start at that step's origin.  Each takes ``g`` from a ``NORM_TOL``
+    modular and ``g'`` from that and one ``LOOSE_TOL`` modular against the
+    density ``p``, whose relative error bound is ``eps``.  The solve returns
+    ``t + step`` as soon as ``eps |step| + (p_plus - p_minus)^2 / (8 p_minus)
+    step^2 <= 1e-10``: the step's error from ``g'`` plus the Newton
+    remainder.  So the answer rests on a ``NORM_TOL`` value of ``g``; the
+    loose values only choose where it is taken and the slope.  A step
+    outside the widened bracket, a non-finite or flat ``g``, a ``g'`` outside
+    ``[-p_plus, -p_minus]`` or ``SECANT_STEPS`` steps fall back to Brent's
+    method on the bracket, on ``NORM_TOL`` values only, to 1e-10 relative on
+    lambda.  The extrema are sampled, not proven, so the bracket's ends are
+    halved or doubled until they straddle the root; halving below 1e-15
+    returns 0.
 
     Raises NoFiniteBracketError when ``modular(f)`` is infinite or suspected
     divergent, or when doubling passes ``BRACKET_CAP``.
     """
 
-    def scaled_modular(lam, tol=NORM_TOL):
+    def scaled_modular(lam, tol=NORM_TOL, mu=None):
         scaled = Integrand(lambda x: f(x) / lam, vp.domain)
-        return modular(scaled, vp, tol=tol, tol_abs=NORM_TOL_ABS).value
+        return modular(scaled, vp, mu, tol=tol, tol_abs=NORM_TOL_ABS)
 
-    r = modular(Integrand(f, vp.domain), vp, tol=NORM_TOL, tol_abs=NORM_TOL_ABS)
+    first_tol = LOOSE_TOL if vp.numerical else NORM_TOL
+    r = modular(Integrand(f, vp.domain), vp, tol=first_tol, tol_abs=NORM_TOL_ABS)
     rho = r.value
     if rho == 0.0:
         return 0.0
@@ -273,42 +297,50 @@ def luxemburg_norm(f: Callable[[float], float], vp: VariableExponent) -> float:
     if not vp.numerical:
         lam = rho ** (1.0 / vp.p_minus)
         if rho * NORM_TOL < NORM_TOL_ABS:
-            lam *= scaled_modular(lam) ** (1.0 / vp.p_minus)
+            lam *= scaled_modular(lam).value ** (1.0 / vp.p_minus)
         return lam
 
     log_rho = math.log(rho)
-    memo = {(0.0, NORM_TOL): log_rho}
+    memo = {}
 
     def g(t, tol=NORM_TOL):
         if (t, tol) not in memo:
-            m = scaled_modular(math.exp(t), tol)
+            m = scaled_modular(math.exp(t), tol).value
             memo[t, tol] = math.log(m) if m > 0.0 else -math.inf
         return memo[t, tol]
 
     ends = (log_rho / vp.p_plus, log_rho / vp.p_minus)
     t_lo, t_hi = min(ends) - BRACKET_SLACK, max(ends) + BRACKET_SLACK
+    # the density p weighs |f/lambda|^p into -g'(t)'s numerator
+    p_density = WeightedMeasure(vp.p, (), ("positive", vp.p))
+    curvature = (vp.p_plus - vp.p_minus) ** 2 / (8.0 * vp.p_minus)
     # the first step goes to the root for the mean exponent
-    slope = -0.5 * (vp.p_minus + vp.p_plus)
     t0, g0 = 0.0, log_rho
-    t1 = t0 - g0 / slope
-    tol, stop = LOOSE_TOL, LOOSE_STEP
+    t1 = log_rho / (0.5 * (vp.p_minus + vp.p_plus))
+    newton = False
     for _ in range(SECANT_STEPS):
-        keep_slope = False
-        if abs(t1 - t0) <= stop:
-            if tol == NORM_TOL:
-                return math.exp(t1)
-            tol, stop, keep_slope = NORM_TOL, 1e-10, True
-            slope = min(max(slope, -vp.p_plus), -vp.p_minus)
+        if not newton and abs(t1 - t0) <= LOOSE_STEP:
+            # a loose value cannot resolve so short a step: Newton starts at
+            # its origin, which is t = 0, the unscaled f, for a first step
+            newton, t1 = True, t0
         if not t_lo <= t1 <= t_hi:
             break
-        g1 = g(t1, tol)
+        g1 = g(t1, NORM_TOL if newton else LOOSE_TOL)
         if not math.isfinite(g1):
             break
-        if not keep_slope:
-            if g1 == g0:
+        if newton:
+            d = scaled_modular(math.exp(t1), LOOSE_TOL, p_density)
+            slope = -d.value * math.exp(-g1)
+            if not -vp.p_plus <= slope <= -vp.p_minus:
                 break
+        elif g1 == g0:
+            break
+        else:
             slope = (g1 - g0) / (t1 - t0)
-        t0, g0, t1 = t1, g1, t1 - g1 / slope
+        step = -g1 / slope
+        if newton and d.error_bound / d.value * abs(step) + curvature * step * step <= 1e-10:
+            return math.exp(t1 + step)
+        t0, g0, t1 = t1, g1, t1 + step
     while g(t_lo) <= 0.0:
         t_hi = t_lo
         t_lo -= math.log(2.0)

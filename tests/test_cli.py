@@ -572,6 +572,7 @@ def test_bad_count_seed_and_max_ratio_exit_2_from_load_config(tmp_path, section,
         "preset = cor54\na = nan",
         "preset = cor53\nalpha = nan",
         "preset = constp\nalpha = 0",  # the default sigma = 1 - 1/(2 alpha) divides by zero
+        "preset = cor64\np = 2+sigma*x\nsigma = 0.5",  # cor64's sigma is a formula, not a key
     ],
 )
 def test_bad_instance_value_exits_2(tmp_path, capsys, body):

@@ -1,11 +1,13 @@
 """docs/config.md lists every config key with its default, and every preset
-with its keys and formulas."""
+with its keys and formulas; README's norm caveat quotes the norm's
+tolerances."""
 
 import re
 from pathlib import Path
 
 import pytest
 
+from hardylab import spaces
 from hardylab.cli import KEYS
 from hardylab.instance import _PRESETS, preset_names
 
@@ -61,3 +63,11 @@ def test_preset_table_row_is_the_preset(name):
     ]
     assert (u, sigma) == (f"`{row.u}`", f"`{row.sigma}`")
     assert condition == (f"`{row.condition}`" if row.condition else "none")
+
+
+def test_readme_norm_caveat_quotes_the_norm_tolerances():
+    text = (CONFIG_MD.parent.parent / "README.md").read_text(encoding="utf-8")
+    paragraph = text.split("- A Luxemburg norm ", 1)[1].split("\n- ", 1)[0]
+    quoted = dict(re.findall(r"`(\w+) = ([^`]+)`", paragraph))
+    for name in ("NORM_TOL", "NORM_TOL_ABS", "LOOSE_TOL"):
+        assert float(quoted[name]) == getattr(spaces, name), name

@@ -380,6 +380,20 @@ def test_preset_rejects_a_key_nothing_reads():
         preset("cor51", bta=3)
 
 
+@pytest.mark.parametrize("name, shadow, keys", [
+    ("cor64", "sigma", dict(p="2+sigma*x", sigma="0.5")),  # cor64's sigma is its own formula
+    ("cor53", "A", dict(p="x+3+A", A="1")),
+    ("cor51", "dp", dict(p="2+dp", dp="1")),
+    ("constp", "u", dict(sigma="u", u="0")),
+    ("raw", "A", dict(domain="0, 1", p="2+A*x", A="0.5", u="x", sigma="0", beta="1")),
+])
+def test_preset_rejects_a_further_key_named_like_a_tree(name, shadow, keys):
+    # read as a number, the key would silently differ from the tree of that
+    # name that the preset's formulas use
+    with pytest.raises(InvalidParamsError, match=f"key '{shadow}' is not a parameter"):
+        preset(name, **keys)
+
+
 def test_an_auto_phi_reads_no_parameter():
     # phi = auto is the negative divergence term, not an expression that
     # reads a parameter named auto

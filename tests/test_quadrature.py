@@ -73,7 +73,7 @@ def _tanh_sinh_every_level_afresh(f, a, b, left_singular, right_singular, tol_re
             flagged = left_singular if side < 0 else right_singular
             partial = 0.0
             small_streak = 0
-            marks = []
+            marks, mark_terms = [], []
             next_mark = 0.5
             wall_hit = False
             k = 1
@@ -97,6 +97,7 @@ def _tanh_sinh_every_level_afresh(f, a, b, left_singular, right_singular, tol_re
                 if level == 0 and flagged:
                     while next_mark <= 4.5 and t >= next_mark - 1e-12:
                         marks.append(abs(partial))
+                        mark_terms.append(abs(term))
                         next_mark += 0.5
                 if t >= 2.0 and abs(term) * contrib_scale < trunc:
                     small_streak += 1
@@ -112,7 +113,8 @@ def _tanh_sinh_every_level_afresh(f, a, b, left_singular, right_singular, tol_re
                     for i in range(len(marks) - 1)
                 ]
                 diverging = len(ratios) >= 8 and all(r >= 2.0 for r in ratios[:8])
-                diverging = diverging or (wall_hit and ratios[-1] >= 2.0)
+                growing = mark_terms[-1] >= 1.6 * mark_terms[-2] > 0.0
+                diverging = diverging or (wall_hit and (ratios[-1] >= 2.0 or growing))
                 if diverging:
                     v = total * contrib_scale
                     return v, abs(v), STATUS_DIVERGENT
@@ -167,12 +169,30 @@ def test_divergence_without_overflow_uses_doubling_marks():
     assert r.status == STATUS_DIVERGENT
 
 
+@pytest.mark.parametrize(
+    "f, diverges",
+    [
+        (lambda x: 1.0 / x, True),
+        (lambda x: x ** (-1.0 - 0.5 * x), True),  # |x^-0.5|^(x+2)
+        (lambda x: 2.0 + 1.0 / x, True),
+        (lambda x: x ** -0.99, False),  # integrable: 100
+        (lambda x: x ** -0.9, False),
+        (lambda x: -math.log(x) / math.sqrt(x), False),
+    ],
+)
+def test_logarithmic_divergence_is_divergent_suspected(f, diverges):
+    r = integrate(f, Interval(0, 1), endpoint_singular=(True, False))
+    assert (r.status == STATUS_DIVERGENT) is diverges
+
+
 def _level0_terms(terms):
     # a side's terms at level 0: one per half unit of t, by finest-mesh index
     return {(k + 1) << quadrature._MAX_LEVEL: term for k, term in enumerate(terms)}
 
 
 DOUBLING = (1.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)  # sums 1, 2, ..., 256
+# terms that grow by e^0.5 per mark, as those of 1/x at 0: the sums never double
+LOG_GROWTH = tuple(math.exp(0.5 * k) for k in range(9))
 
 
 @pytest.mark.parametrize(
@@ -189,6 +209,13 @@ DOUBLING = (1.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)  # sums 1, 2, ...,
         ((5.0,), True, False),  # a single mark has no ratio
         ((0.0,) + DOUBLING[:8], False, False),  # a zero mark's ratio reads 0
         ((0.0, 1.0), True, False),
+        (LOG_GROWTH, True, True),  # terms still growing by e^0.5 at the wall
+        (LOG_GROWTH, False, False),  # the wall is what makes the growth count
+        (LOG_GROWTH[:5] + (LOG_GROWTH[4],), True, False),  # flat last term at the wall
+        ((1.0, 1.0, 1.0, 1.6), True, True),  # last term 1.6 times the one before
+        ((1.0, 1.0, 1.0, 1.59), True, False),  # sums 3 -> 4.59 and terms x1.59
+        ((2.0, 3.0, 4.4, 4.0), True, False),  # growth turned down, as for x^-0.99
+        ((-1.0, -1.0, -1.0, -1.6), True, True),  # a negative integrand's terms
     ],
 )
 def test_diverging_rule(terms, wall_hit, diverging):

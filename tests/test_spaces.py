@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import integrate as sci_integrate
+from scipy.optimize import brentq
 
 from oracles import perfbench_workloads
 
@@ -93,10 +94,12 @@ def test_luxemburg_no_finite_bracket():
         luxemburg_norm(f, vp)
 
 
-@pytest.mark.parametrize("p_text, power", [("x+2", -2.0), ("3", -0.5)])
+@pytest.mark.parametrize("p_text, power", [("x+2", -2.0), ("3", -0.5), ("x+2", -0.5)])
 def test_luxemburg_divergent_modular(p_text, power):
     # |x^power|^p is not integrable on (0,1): the modular overflows for
-    # x^-2 and is flagged divergent with a finite value for x^-0.5, p = 3
+    # x^-2 and is flagged divergent with a finite value for x^-0.5, p = 3,
+    # and for the logarithmic divergence x^(-1-x/2) of x^-0.5, p = x+2, even
+    # at the loose tolerance of a variable exponent's first modular
     vp = validate_exponent(parse(p_text), Interval(0, 1))
     with pytest.raises(NoFiniteBracketError):
         luxemburg_norm(lambda x: x ** power, vp)
@@ -132,16 +135,21 @@ def test_norm_modular_calls(count_calls):
     vp = validate_exponent(parse("x+2"), Interval(0, 1))
     norm = luxemburg_norm(lambda x: 1.0 + math.sin(3 * x), vp)
     assert norm > 0
-    assert len(calls) <= 5
+    # rho and three secant steps at LOOSE_TOL, then one Newton step: g at
+    # NORM_TOL and its slope's numerator at LOOSE_TOL
+    loose, tight = spaces.LOOSE_TOL, spaces.NORM_TOL
+    assert [kwargs["tol"] for kwargs, _ in calls] == [loose] * 4 + [tight, loose]
 
 
 def test_norm_of_a_unit_modular_is_one(count_calls):
-    # modular(1) is exactly 1, so log rho = 0 and the first secant point is
-    # the root: no further modular
+    # The loose rho is 1 + 3.6e-14, so the first secant step is below
+    # LOOSE_STEP and Newton starts at its origin t = 0: there the NORM_TOL
+    # modular is modular(1) itself, exactly 1, and the Newton step is 0.
     calls = count_calls("modular")
     vp = validate_exponent(parse("x+2"), Interval(0, 1))
     assert luxemburg_norm(lambda x: 1.0, vp) == 1.0
-    assert len(calls) == 1
+    loose, tight = spaces.LOOSE_TOL, spaces.NORM_TOL
+    assert [kwargs["tol"] for kwargs, _ in calls] == [loose, tight, loose]
 
 
 def _workload(seed):
@@ -152,12 +160,12 @@ def _workload(seed):
     return wl
 
 
-def _workload_norms(count=160):
-    """The variable-exponent operations among the first ``count`` seed-0
-    ``luxemburg-norms`` inputs: (op, meta, vp, f, p) with f and p as the
-    benchmark evaluates them for its SciPy references."""
+def _workload_norms(count=160, seed=0):
+    """The variable-exponent operations among the first ``count``
+    ``luxemburg-norms`` inputs of ``seed``: (op, meta, vp, f, p) with f and p
+    as the benchmark evaluates them for its SciPy references."""
     workloads = perfbench_workloads()
-    wl = _workload(0)
+    wl = _workload(seed)
     ops = [wl.prepare(i) for i in range(count)]
     return [
         (op, meta, wl.exponents[meta["exponent"]], workloads.polynomial(meta["coeffs"]),
@@ -166,10 +174,11 @@ def _workload_norms(count=160):
     ]
 
 
-def test_workload_norms_rest_on_at_most_four_norm_tol_modulars(count_calls):
-    # Only the secant's last steps compute modulars at NORM_TOL.  At NORM_TOL
-    # throughout, each of these 80 norms made 5 modular calls and all of
-    # them 461,708 evaluations.
+def test_workload_norms_rest_on_at_most_two_norm_tol_modulars(count_calls):
+    # Only the Newton steps compute modulars at NORM_TOL: one for 72 of these
+    # 80 norms and two for 8.  At NORM_TOL throughout, each norm made 5
+    # modular calls and all of them 461,708 evaluations; with a NORM_TOL rho
+    # and NORM_TOL secant steps, up to 4 at NORM_TOL and 314,635 evaluations.
     calls = count_calls("modular")
     tight, evaluations = [], 0
     for op, *_ in _workload_norms():
@@ -177,8 +186,23 @@ def test_workload_norms_rest_on_at_most_four_norm_tol_modulars(count_calls):
         op()
         tight.append(sum(kwargs["tol"] == spaces.NORM_TOL for kwargs, _ in calls))
         evaluations += sum(r.evaluations for _, r in calls)
-    assert len(tight) == 80 and max(tight) <= 4
-    assert evaluations <= 0.8 * 461_708
+    assert len(tight) == 80 and max(tight) <= 2 and sum(tight) <= 88
+    assert evaluations <= 170_599
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_workload_norms_match_brent_on_norm_tol_values(seed):
+    # The Newton steps stop once the slope's error and the Newton remainder
+    # bound the step's error by 1e-10, so log(norm) is within 2e-10 of the
+    # root that Brent's method finds on the NORM_TOL values of g.
+    for op, meta, vp, f, _ in _workload_norms(seed=seed):
+        t = math.log(op())
+
+        def g(s):
+            scaled = Integrand(lambda x: f(x) / math.exp(s), vp.domain)
+            return math.log(modular(scaled, vp, tol=spaces.NORM_TOL, tol_abs=spaces.NORM_TOL_ABS).value)
+
+        assert abs(t - brentq(g, t - 1e-6, t + 1e-6, xtol=1e-13)) <= 2e-10, meta
 
 
 def test_seed_7_workload_norms_pass_the_benchmark_check():
