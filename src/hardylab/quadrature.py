@@ -4,11 +4,12 @@ The integration domain is partitioned at caller-supplied split points.
 Panels that touch a flagged singular endpoint (or that were produced by the
 infinite-endpoint transform ``x = t/(1-t)``, or that span a very wide dynamic
 range) are handled by double-exponential (tanh-sinh) quadrature; smooth
-panels use adaptive 7-15 Gauss-Kronrod refinement.  Panel results are summed
-in panel order, so results are deterministic.  Each tanh-sinh level reuses
-the integrand values of the coarser levels' nodes, so ``evaluations`` counts
-distinct integrand calls.  A flagged side's divergence is judged once, on
-its level 0 terms, by ``_diverging``.
+panels use adaptive 7-15 Gauss-Kronrod refinement, whose error estimate is
+floored at QUADPACK's ``50 eps`` times the integral of ``|f|``.  Panel
+results are summed in panel order, so results are deterministic.  Each
+tanh-sinh level reuses the integrand values of the coarser levels' nodes, so
+``evaluations`` counts distinct integrand calls.  A flagged side's
+divergence is judged once, on its level 0 terms, by ``_diverging``.
 
 The integrand contract: ``f`` is called only strictly inside the panels (a
 tanh-sinh node that rounds onto an end stops that side), and a call that
@@ -27,6 +28,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -44,6 +46,9 @@ MAX_DEPTH = 40
 
 _T_MAX = 7.5             # tanh-sinh hard cap on |t|
 _WIDE_RATIO = 1e4        # dynamic-range threshold that promotes a panel to DE
+# QUADPACK's roundoff floor on a Gauss-Kronrod panel's error, relative to the
+# Kronrod sum of |f| (it covers the bias of the 15-digit weights below)
+_GK_FLOOR = 50.0 * sys.float_info.epsilon
 
 # 7-15 Gauss-Kronrod rule: (node, gauss weight, kronrod weight)
 _GK15 = (
@@ -81,6 +86,7 @@ def _gk15(f, a, b):
     mid = 0.5 * (a + b)
     g7 = 0.0
     k15 = 0.0
+    resabs = 0.0
     for node, wg, wk in _GK15:
         try:
             fx = f(mid + half * node)
@@ -88,9 +94,10 @@ def _gk15(f, a, b):
             fx = math.inf
         g7 += wg * fx
         k15 += wk * fx
+        resabs += wk * abs(fx)
     raw = abs(k15 - g7) * half
     err = min(raw, (200.0 * raw) ** 1.5) if raw > 0 else 0.0
-    err = max(err, 5e-16 * abs(k15 * half))
+    err = max(err, _GK_FLOOR * resabs * half)
     return k15 * half, err
 
 

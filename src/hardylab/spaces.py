@@ -209,8 +209,12 @@ def modular(
     when omitted) over the exponent's domain intersected with f's support.
 
     The singular points of the exponent, of ``f`` and of ``mu`` become
-    quadrature splits.  Both finite ends are integrated as singular, so
-    ``f.fn`` is called only strictly inside the support.
+    quadrature splits.  ``f.fn`` is called only strictly inside the
+    support.  A finite end is integrated as singular (tanh-sinh) where it is
+    an end of the domain, or where ``f`` is the ``t log t`` view, whose edge
+    factor ``|log t|^p`` defeats Gauss-Kronrod's error estimate.  At a
+    support end strictly inside the domain, ``f`` vanishes and the density
+    is finite, so Gauss-Kronrod panels end there.
     """
     lo, hi = max(vp.domain.lo, f.support.lo), min(vp.domain.hi, f.support.hi)
     splits = {*vp.split_points, *f.split_points}
@@ -219,7 +223,8 @@ def modular(
     if not lo < hi:
         return ZERO_RESULT
 
-    flags = (math.isfinite(lo), math.isfinite(hi))
+    flags = (math.isfinite(lo) and (f.tlogt or lo == vp.domain.lo),
+             math.isfinite(hi) and (f.tlogt or hi == vp.domain.hi))
     return integrate(
         modular_integrand(f, vp.p, mu),
         Interval(lo, hi),

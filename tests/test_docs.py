@@ -1,13 +1,14 @@
 """docs/config.md lists every config key with its default, and every preset
 with its keys and formulas; README's norm caveat quotes the norm's
-tolerances."""
+tolerances, and its Gauss-Kronrod caveat the error floor."""
 
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
-from hardylab import spaces
+from hardylab import quadrature, spaces
 from hardylab.cli import KEYS
 from hardylab.instance import _PRESETS, preset_names
 
@@ -71,3 +72,10 @@ def test_readme_norm_caveat_quotes_the_norm_tolerances():
     quoted = dict(re.findall(r"`(\w+) = ([^`]+)`", paragraph))
     for name in ("NORM_TOL", "NORM_TOL_ABS", "LOOSE_TOL"):
         assert float(quoted[name]) == getattr(spaces, name), name
+
+
+def test_readme_gauss_kronrod_caveat_quotes_the_floor():
+    text = (CONFIG_MD.parent.parent / "README.md").read_text(encoding="utf-8")
+    paragraph = text.split("- A Gauss-Kronrod panel's error bound ", 1)[1].split("\n- ", 1)[0]
+    factor = re.search(r"`(\d+)·eps`", paragraph).group(1)
+    assert float(factor) * sys.float_info.epsilon == quadrature._GK_FLOOR

@@ -1,11 +1,15 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import beta
 
 from hardylab import quadrature
-from hardylab.expr import Interval
+from hardylab.expr import Interval, const
 from hardylab.quadrature import (
     STATUS_CONVERGED,
     ZERO_RESULT,
@@ -13,6 +17,8 @@ from hardylab.quadrature import (
     STATUS_MAX_DEPTH,
     integrate,
 )
+from hardylab.spaces import Integrand, VariableExponent, modular
+from hardylab.verify import power_bump
 
 
 def test_constant_on_unit_interval():
@@ -20,6 +26,39 @@ def test_constant_on_unit_interval():
     assert r.status == STATUS_CONVERGED
     assert r.value == pytest.approx(1.0, abs=1e-10)
     assert r.error_bound >= 0
+
+
+def test_gauss_kronrod_bound_covers_the_rounded_weights():
+    # the 15-digit Kronrod weights sum to 2 - 6.2e-15, so one panel returns
+    # 0.9999999999999969; QUADPACK's floor 50 eps * integral of |f| covers it
+    r = integrate(lambda x: 1.0, Interval(0, 1))
+    assert r.status == STATUS_CONVERGED
+    assert abs(r.value - 1.0) <= r.error_bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    center=st.floats(0.05, 0.95),
+    reach=st.floats(0.01, 0.99),
+    height=st.floats(0.1, 10.0),
+    p=st.floats(1.1, 6.0),
+)
+def test_power_bump_modular_meets_its_bound(center, reach, height, p):
+    # a bump of the edge exponent random_test_function draws, k = ceil(p) + 1,
+    # with its support inside (0, 1), so its ends are Gauss-Kronrod panel
+    # ends; the integral of (c (1 - s^2)^k)^p over (m - r, m + r) is
+    # c^p r B(1/2, k p + 1).  The integrand is evaluated at abscissae rounded
+    # to eps |x|, which moves the integral by up to eps (|m| + r) times the
+    # total variation 2 c^p; the quadrature's bound does not cover that.
+    r = reach * min(center, 1.0 - center)
+    k = math.ceil(p) + 1.0
+    xi = power_bump(center, r, height, k)
+    vp = VariableExponent(const(p), Interval(0.0, 1.0), p, p)
+    result = modular(Integrand(xi._f, xi.support, xi.split_points), vp)
+    assert result.status == STATUS_CONVERGED
+    exact = height ** p * r * beta(0.5, k * p + 1.0)
+    rounding = 2.0 * sys.float_info.epsilon * (center + r) * height ** p
+    assert abs(result.value - exact) <= result.error_bound + rounding
 
 
 def test_inverse_sqrt_flagged_endpoint():

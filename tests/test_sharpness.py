@@ -152,7 +152,7 @@ def test_a_wide_limit_error_makes_the_scan_indeterminate(tmp_path, capsys):
         f"[output]\ndir = {out}\n"
     )
     assert main(["scan", "--config", str(cfg)]) == EXIT_INDETERMINATE
-    assert "scan: limit 5.88328997 +- 1.3 (indeterminate)" in capsys.readouterr().out
+    assert "scan: limit 5.88328996 +- 1.3 (indeterminate)" in capsys.readouterr().out
     payload = parse_json((out / "scan.json").read_bytes()).payload
     assert payload["limit_error"] > MAX_LIMIT_ERROR
     assert payload["verdict"] == "indeterminate"

@@ -9,10 +9,12 @@ from scipy.optimize import brentq
 
 from oracles import perfbench_workloads
 
-from hardylab import spaces
+from hardylab import quadrature, spaces
 from hardylab.errors import ExponentRangeError, IntegrabilityProbeError, NoFiniteBracketError
 from hardylab.expr import Interval, compile_fn, parse
+from hardylab.quadrature import STATUS_CONVERGED, STATUS_DIVERGENT
 from hardylab.spaces import Integrand, luxemburg_norm, modular, validate_exponent
+from hardylab.verify import _tlogt_view, power_bump
 
 
 def test_validate_affine_exponent():
@@ -68,6 +70,52 @@ def test_modular_with_callable():
     vp = validate_exponent(parse("2"), Interval(0, 1))
     r = modular(Integrand(lambda x: x * x, vp.domain), vp)
     assert r.value == pytest.approx(1 / 5, rel=1e-9)
+
+
+@pytest.fixture
+def tanh_sinh_panels(monkeypatch):
+    """The panels ``(a, b, left flagged, right flagged)`` that reach
+    ``quadrature._tanh_sinh``, in call order."""
+    panels = []
+    real = quadrature._tanh_sinh
+
+    def spy(f, a, b, left, right, tol_rel, tol_abs):
+        panels.append((a, b, left, right))
+        return real(f, a, b, left, right, tol_rel, tol_abs)
+
+    monkeypatch.setattr(quadrature, "_tanh_sinh", spy)
+    return panels
+
+
+def test_support_ends_inside_the_domain_end_gauss_kronrod_panels(tanh_sinh_panels):
+    # xi and xi' are finite at the ends of a support inside the domain
+    vp = validate_exponent(parse("x+2"), Interval(0, 1))
+    xi = power_bump(0.4, 0.2, 1.5, 4.0)
+    for fn in (xi._f, xi._df):
+        assert modular(Integrand(fn, xi.support, xi.split_points), vp).status == STATUS_CONVERGED
+    ends = (xi.support.lo, xi.support.hi)
+    assert [panel for panel in tanh_sinh_panels if panel[0] in ends or panel[1] in ends] == []
+
+
+def test_tlogt_view_and_domain_ends_stay_on_tanh_sinh(tanh_sinh_panels):
+    vp = validate_exponent(parse("x+2"), Interval(0, 1))
+    xi = power_bump(0.4, 0.2, 1.5, 4.0)
+    # |t log t|^p carries |log t|^p into the edge
+    modular(_tlogt_view(xi), vp)
+    lo, hi = xi.support.lo, xi.support.hi
+    assert any(a == lo and left for a, _, left, _ in tanh_sinh_panels)
+    assert any(b == hi and right for _, b, _, right in tanh_sinh_panels)
+    # a support reaching the domain's left end: only that end is flagged
+    tanh_sinh_panels.clear()
+    modular(Integrand(lambda x: 1.0 - 2.0 * x, Interval(0.0, 0.5)), vp)
+    assert tanh_sinh_panels == [(0.0, 0.5, True, False)]
+
+
+@pytest.mark.parametrize("support", [Interval(0, 1), Interval(0, 0.5)])
+def test_logarithmic_divergence_at_a_domain_end_is_still_suspected(support):
+    # |x^-0.5|^(x+2) = x^(-1-x/2) is not integrable at 0
+    vp = validate_exponent(parse("x+2"), Interval(0, 1))
+    assert modular(Integrand(lambda x: x ** -0.5, support), vp).status == STATUS_DIVERGENT
 
 
 def test_luxemburg_constant_on_unit_domain():
