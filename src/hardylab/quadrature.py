@@ -50,23 +50,20 @@ _WIDE_RATIO = 1e4        # dynamic-range threshold that promotes a panel to DE
 # Kronrod sum of |f| (it covers the bias of the 15-digit weights below)
 _GK_FLOOR = 50.0 * sys.float_info.epsilon
 
-# 7-15 Gauss-Kronrod rule: (node, gauss weight, kronrod weight)
-_GK15 = (
-    (0.000000000000000, 0.417959183673469, 0.209482141084728),
-    (+0.207784955007898, 0.0, 0.204432940075298),
-    (-0.207784955007898, 0.0, 0.204432940075298),
-    (+0.405845151377397, 0.381830050505119, 0.190350578064785),
-    (-0.405845151377397, 0.381830050505119, 0.190350578064785),
-    (+0.586087235467691, 0.0, 0.169004726639267),
-    (-0.586087235467691, 0.0, 0.169004726639267),
-    (+0.741531185599394, 0.279705391489277, 0.140653259715525),
-    (-0.741531185599394, 0.279705391489277, 0.140653259715525),
-    (+0.864864423359769, 0.0, 0.104790010322250),
-    (-0.864864423359769, 0.0, 0.104790010322250),
-    (+0.949107912342759, 0.129484966168870, 0.063092092629979),
-    (-0.949107912342759, 0.129484966168870, 0.063092092629979),
-    (+0.991455371120813, 0.0, 0.022935322010529),
-    (-0.991455371120813, 0.0, 0.022935322010529),
+# 7-15 Gauss-Kronrod rule: (node, gauss weight, kronrod weight) at the centre,
+# then at +node and -node for each positive node
+_GK15 = ((0.0, 0.417959183673469, 0.209482141084728),) + tuple(
+    (sign * node, wg, wk)
+    for node, wg, wk in (
+        (0.207784955007898, 0.0, 0.204432940075298),
+        (0.405845151377397, 0.381830050505119, 0.190350578064785),
+        (0.586087235467691, 0.0, 0.169004726639267),
+        (0.741531185599394, 0.279705391489277, 0.140653259715525),
+        (0.864864423359769, 0.0, 0.104790010322250),
+        (0.949107912342759, 0.129484966168870, 0.063092092629979),
+        (0.991455371120813, 0.0, 0.022935322010529),
+    )
+    for sign in (1.0, -1.0)
 )
 
 
@@ -96,7 +93,8 @@ def _gk15(f, a, b):
         k15 += wk * fx
         resabs += wk * abs(fx)
     raw = abs(k15 - g7) * half
-    err = min(raw, (200.0 * raw) ** 1.5) if raw > 0 else 0.0
+    # QUADPACK's estimate, which is raw from raw = 1 on, where (200 raw)^1.5 may overflow
+    err = raw if raw >= 1.0 else (min(raw, (200.0 * raw) ** 1.5) if raw > 0 else 0.0)
     err = max(err, _GK_FLOOR * resabs * half)
     return k15 * half, err
 
@@ -231,8 +229,6 @@ def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
                         # node rounded onto the endpoint: the remaining tail
                         # is below floating-point resolution
                         wall_hit = small_streak == 0
-                        break
-                    if w == 0.0:
                         break
                     try:
                         fx = f(x)

@@ -43,16 +43,11 @@ _WEIGHTS = _extrapolation_weights(WIDTHS)
 _WEIGHTS_LOWER = _extrapolation_weights(WIDTHS[:3])
 
 
-def _ramp(t: float) -> float:
-    # rational smoothstep with edge exponent 2 at t = 0
-    s = 1.0 - t
-    return t * t / (t * t + s * s)
-
-
-def _ramp_prime(t: float) -> float:
+def _ramp(t: float) -> tuple[float, float]:
+    # rational smoothstep with edge exponent 2 at t = 0, and its slope
     s = 1.0 - t
     d = t * t + s * s
-    return 2.0 * t * s / (d * d)
+    return t * t / d, 2.0 * t * s / (d * d)
 
 
 def hardy_cutoff(width: float) -> TestFunction:
@@ -77,50 +72,25 @@ def hardy_cutoff(width: float) -> TestFunction:
     q = 0.5 + EPS
 
     def zeta(x):
-        if x <= 0.5 * inner or x >= 2.0 * outer:
-            return 0.0
+        # the cutoff and its slope, strictly inside the support
         if x < inner:
-            return _ramp((x - 0.5 * inner) / (0.5 * inner))
+            z, dz = _ramp((x - 0.5 * inner) / (0.5 * inner))
+            return z, dz / (0.5 * inner)
         if x <= outer:
-            return 1.0
-        return _ramp((2.0 * outer - x) / outer)
-
-    def zeta_prime(x):
-        if x <= 0.5 * inner or x >= 2.0 * outer:
-            return 0.0
-        if x < inner:
-            return _ramp_prime((x - 0.5 * inner) / (0.5 * inner)) / (0.5 * inner)
-        if x <= outer:
-            return 0.0
-        return -_ramp_prime((2.0 * outer - x) / outer) / outer
+            return 1.0, 0.0
+        z, dz = _ramp((2.0 * outer - x) / outer)
+        return z, -dz / outer
 
     def f(x):
-        z = zeta(x)
-        return 0.0 if z == 0.0 else x ** q * z
+        return x ** q * zeta(x)[0]
 
     def df(x):
-        z = zeta(x)
-        dz = zeta_prime(x)
-        if z == 0.0 and dz == 0.0:
-            return 0.0
+        z, dz = zeta(x)
         return q * x ** (q - 1.0) * z + x ** q * dz
 
-    # the value's branches with np.where, for points inside the support
-    def f_grid(xs):
-        rising = _ramp((xs - 0.5 * inner) / (0.5 * inner))
-        falling = _ramp((2.0 * outer - xs) / outer)
-        z = np.where(xs < inner, rising, np.where(xs <= outer, 1.0, falling))
-        return np.where(z == 0.0, 0.0, xs ** q * z)
-
     return TestFunction(
-        "hardy-cutoff",
-        Interval(0.5 * inner, 2.0 * outer),
-        2.0,
-        {"width": width},
-        f,
-        df,
-        f_grid,
-        split_points=(inner, outer),
+        "hardy-cutoff", Interval(0.5 * inner, 2.0 * outer), 2.0, {"width": width},
+        f, df, np.vectorize(f, otypes=[float]), split_points=(inner, outer),
     )
 
 

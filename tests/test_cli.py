@@ -166,6 +166,20 @@ def test_indeterminate_scan_exits_3(tmp_path, capsys, monkeypatch):
     assert parse_json((out / "scan.json").read_bytes()).payload["verdict"] == "indeterminate"
 
 
+def test_hardy_poincare_scan_is_indeterminate_not_a_traceback(tmp_path, capsys):
+    # the widest member's panel (1e75, 2e75) has a Gauss-Kronrod difference
+    # above 1e203, where QUADPACK's (200 raw)^1.5 would overflow
+    cfg = _write_config(
+        tmp_path,
+        "[instance]\npreset = raw\ndomain = 0, inf\np = 2\nu = (1+x^2)^(-0.5)\n"
+        f"sigma = 3\nbeta = 4\n[output]\ndir = {tmp_path / 'out'}\n",
+    )
+    assert main(["scan", "--config", cfg]) == EXIT_INDETERMINATE
+    out = capsys.readouterr().out
+    assert "scan: best ratio 7.05306\n" in out
+    assert "scan: limit nan +- nan (indeterminate)\n" in out
+
+
 def test_reproduce_unknown_scenario(tmp_path):
     assert main(["reproduce", "does-not-exist", "--out", str(tmp_path / "o")]) == EXIT_USAGE
 

@@ -1,6 +1,7 @@
 """docs/config.md lists every config key with its default, and every preset
 with its keys and formulas; README's norm caveat quotes the norm's
-tolerances, and its Gauss-Kronrod caveat the error floor."""
+tolerances, and its Gauss-Kronrod caveat the error floor; the scan lines both
+quote are the program's."""
 
 import re
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from hardylab import quadrature, spaces
-from hardylab.cli import KEYS
+from hardylab.cli import KEYS, SCENARIOS, main
 from hardylab.instance import _PRESETS, preset_names
 
 CONFIG_MD = Path(__file__).resolve().parent.parent / "docs" / "config.md"
@@ -79,3 +80,28 @@ def test_readme_gauss_kronrod_caveat_quotes_the_floor():
     paragraph = text.split("- A Gauss-Kronrod panel's error bound ", 1)[1].split("\n- ", 1)[0]
     factor = re.search(r"`(\d+)·eps`", paragraph).group(1)
     assert float(factor) * sys.float_info.epsilon == quadrature._GK_FLOOR
+
+
+def _scan_output(tmp_path, capsys, scenario: str) -> str:
+    """What ``hardylab scan`` prints on a scenario's instance."""
+    cfg = tmp_path / "lab.ini"
+    keys = "".join(f"{key} = {value}\n" for key, value in SCENARIOS[scenario]["instance"].items())
+    cfg.write_text(f"[instance]\n{keys}[output]\ndir = {tmp_path / 'out'}\n")
+    main(["scan", "--config", str(cfg)])
+    return capsys.readouterr().out
+
+
+def test_config_quotes_the_indeterminate_cor64_scan(tmp_path, capsys):
+    text = CONFIG_MD.read_text(encoding="utf-8")
+    quoted = re.search(
+        r"On `cor64` with `p = 2-1/\(x\+2\)`, `beta = 2.5` on\s+`\(0, inf\)` it reads `([^`]+)`", text
+    )
+    assert f"scan: {quoted.group(1)}\n" in _scan_output(tmp_path, capsys, "cor64-reciprocal")
+
+
+def test_readme_quotes_the_constp_hardy_scan(tmp_path, capsys):
+    text = (CONFIG_MD.parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("the scan of `reproduce constp-hardy` prints\n", 1)[1]
+    quoted = re.search(r"```\n(.*?)```", block, re.DOTALL).group(1)
+    lines = [line.strip() for line in quoted.strip().splitlines()]
+    assert lines == _scan_output(tmp_path, capsys, "constp-hardy").splitlines()

@@ -36,6 +36,23 @@ def test_gauss_kronrod_bound_covers_the_rounded_weights():
     assert abs(r.value - 1.0) <= r.error_bound
 
 
+def test_gauss_kronrod_rule_is_symmetric_with_weights_near_two():
+    centre, *rows = quadrature._GK15
+    assert centre[0] == 0.0 and len(rows) == 14
+    for (node, wg, wk), (mirror, mirror_wg, mirror_wk) in zip(rows[::2], rows[1::2]):
+        assert node > 0.0 and mirror == -node
+        assert (mirror_wg, mirror_wk) == (wg, wk)
+    # the 15-digit Kronrod weights sum to 2 - 6.217e-15
+    assert abs(sum(wk for _, _, wk in quadrature._GK15) - 2.0) < 6.3e-15
+
+
+def test_gauss_kronrod_estimate_does_not_overflow_on_a_huge_panel():
+    # the Gauss-Kronrod difference exceeds 1e203, where (200 raw)^1.5 overflows
+    r = integrate(lambda x: 1e210 * abs(x - 0.3), Interval(0, 1))
+    assert r.status == STATUS_CONVERGED
+    assert abs(r.value - 2.9e209) <= r.error_bound
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     center=st.floats(0.05, 0.95),
