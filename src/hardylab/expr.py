@@ -598,14 +598,6 @@ class Interval:
         return Interval(lo, hi)
 
 
-def interval_from_text(text: str) -> Interval:
-    """Parse 'a, b' with 'inf'/'-inf' allowed for the endpoints."""
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"interval text must be 'lo, hi', got {text!r}")
-    return Interval(float(parts[0]), float(parts[1]))
-
-
 # ---------------------------------------------------------------------------
 # singular point detection
 
@@ -613,13 +605,12 @@ def interval_from_text(text: str) -> Interval:
 SCAN_GRID = 4096
 
 
-@dataclass
-class SingularScan:
+class SingularScan(NamedTuple):
     """Bracketed singular points plus near-zero locations that could not be
     bracketed by a sign change (reported as suspected)."""
 
-    points: list[float] = field(default_factory=list)
-    suspected: list[float] = field(default_factory=list)
+    points: list[float]
+    suspected: list[float]
 
 
 def _singularity_generators(e: Expr, acc: list):
@@ -676,8 +667,9 @@ def _bracketed_zeros(fn, xs: np.ndarray, vals: np.ndarray) -> tuple[list[float],
     """Zeros of ``fn`` that its values ``vals`` at the sample points ``xs``
     (NaN outside its domain) bracket: each exact zero, but of a run of them
     only the two ends (nothing inside a run breaks smoothness), and a
-    ``brentq`` root in each cell where the sign changes, or, where the scalar
-    ``fn`` cannot bracket it, the cell's midpoint as suspected."""
+    ``brentq`` root in each cell where the sign changes, or the cell's
+    midpoint as suspected where the scalar ``fn`` cannot bracket the root or
+    ``brentq`` does not converge on it."""
     a, b = vals[:-1], vals[1:]
     both = ~(np.isnan(a) | np.isnan(b))
     zero = both & (a == 0.0)
@@ -692,8 +684,12 @@ def _bracketed_zeros(fn, xs: np.ndarray, vals: np.ndarray) -> tuple[list[float],
             seen.append(lo)
             continue
         try:
-            seen.append(float(brentq(fn, lo, hi, xtol=1e-14, rtol=8.9e-16)))
+            root, info = brentq(fn, lo, hi, xtol=1e-14, rtol=8.9e-16, full_output=True, disp=False)
         except (ValueError, EvalDomainError):
+            info = None
+        if info is not None and info.converged:
+            seen.append(float(root))
+        else:
             suspected.append(0.5 * (lo + hi))
     if len(vals) and vals[-1] == 0.0:
         seen.append(float(xs[-1]))
@@ -741,35 +737,28 @@ def _compiled_on_first_call(e: Expr) -> Callable[[float], float]:
 
 def zero_scan(e: Expr, interval: Interval) -> SingularScan:
     """Zeros of ``e`` itself on the closure of ``interval``."""
-    xs = _scan_grid(interval)
-    seen, suspected = _fn_zeros(_compiled_on_first_call(e), xs, eval_grid(e, xs))
-    return _collect_scan(seen, suspected, interval)
+    return _scan((e,), interval)
 
 
 def singular_scan(e: Expr, interval: Interval) -> SingularScan:
+    """Zeros of ``e``'s singularity generators on the closure of ``interval``."""
     generators: list[Expr] = []
     _singularity_generators(e, generators)
-    if not generators:
-        return SingularScan()
+    return _scan(generators, interval)
+
+
+def _scan(trees, interval: Interval) -> SingularScan:
+    """Zeros of the trees on the closure of ``interval``, each distinct tree
+    scanned once; no tree asks for no grid, so for no sampling window."""
+    if not trees:
+        return SingularScan([], [])
     xs = _scan_grid(interval)
-    seen: list[float] = []
-    suspected: list[float] = []
-    # a generator met twice (x - a under both a log and an abs) is scanned once
-    for gen in dict.fromkeys(generators):
-        pts, sus = _fn_zeros(_compiled_on_first_call(gen), xs, eval_grid(gen, xs))
-        seen.extend(pts)
-        suspected.extend(sus)
-    return _collect_scan(seen, suspected, interval)
-
-
-def _collect_scan(seen, suspected, interval: Interval) -> SingularScan:
-    scan = SingularScan()
+    found = [_fn_zeros(_compiled_on_first_call(t), xs, eval_grid(t, xs)) for t in dict.fromkeys(trees)]
     in_closure = lambda p: interval.lo <= p <= interval.hi
-    scan.points = _dedup(p for p in seen if in_closure(p))
-    scan.suspected = _dedup(p for p in suspected if in_closure(p))
-    scan.suspected = [p for p in scan.suspected
-                      if not any(abs(p - q) < 1e-9 * (1 + abs(q)) for q in scan.points)]
-    return scan
+    points = _dedup(p for seen, _ in found for p in seen if in_closure(p))
+    suspected = [p for p in _dedup(p for _, sus in found for p in sus if in_closure(p))
+                 if not any(abs(p - q) < 1e-9 * (1 + abs(q)) for q in points)]
+    return SingularScan(points, suspected)
 
 
 def _dedup(points: Iterable[float]) -> list[float]:

@@ -31,7 +31,6 @@ from .expr import (
     div,
     eval_grid,
     identifiers,
-    interval_from_text,
     log,
     mul,
     neg,
@@ -363,8 +362,8 @@ class _Preset:
     where required); ``u``, ``phi`` (``None``: the exact negative divergence
     term), ``sigma`` and the closed-form ``condition`` in the grammar over the
     numbers and the trees ``p``, ``dp`` (p'), ``sigma`` and ``A``; the interval
-    the domain must lie in, whose ends read the numbers and ``inf`` as a
-    default domain's do; the numbers that must be positive, trees constant."""
+    the domain must lie in, whose ends read the numbers and ``inf`` as the
+    domain's do; the numbers that must be positive, trees constant."""
 
     keys: dict
     u: str
@@ -428,7 +427,8 @@ def preset(name: str, /, **params) -> HardyInstance:
     other key must be a name that an expression given as text reads (``d`` in
     ``p = "1+d/(abs(x)+1)"``) other than a tree name (``p``, ``u``, ``phi``,
     ``sigma``, ``A``, ``dp``), and is a number like the preset's own; every
-    number must be finite.  A text ``domain`` is parsed as ``"lo, hi"``.
+    number must be finite.  A text ``domain`` is ``"lo, hi"``, each end a
+    constant in the grammar over the numbers and ``inf``.
     """
     if name not in _PRESETS:
         raise InvalidParamsError(f"unknown preset {name!r}")
@@ -459,12 +459,13 @@ def preset(name: str, /, **params) -> HardyInstance:
             asks = "finite and positive" if key in row.positive else "finite"
             raise InvalidParamsError(f"{key} must be {asks}, got {value!r}")
 
-    def interval(text):  # "lo, hi", each end in the grammar over the numbers and inf
-        return Interval(*(parse(t, {**numbers, "inf": math.inf}).value for t in text.split(",")))
+    def interval(text):  # "lo, hi", each end a constant in the grammar over the numbers and inf
+        ends = [parse(end, {**numbers, "inf": math.inf}) for end in text.split(",")]
+        if len(ends) != 2 or any(end.kind != "const" for end in ends):
+            raise InvalidParamsError(f"a domain is two constant ends 'lo, hi', got {text!r}")
+        return Interval(ends[0].value, ends[1].value)
 
-    domain = args["domain"] if "domain" in params else interval(args["domain"])
-    if isinstance(domain, str):
-        domain = interval_from_text(domain)
+    domain = interval(args["domain"]) if isinstance(args["domain"], str) else args["domain"]
     if row.within is not None:
         within = interval(row.within)
         if domain.lo < within.lo or domain.hi > within.hi:

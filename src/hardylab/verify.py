@@ -390,7 +390,6 @@ class BatchSummary:
     worst_margin: float
     witnesses: list
     evaluations: int
-    cases: list = field(default_factory=list)
 
 
 def _support_window(domain: Interval) -> Interval:
@@ -463,7 +462,7 @@ def batch_verify(
 
     counts = {PASS: 0, FAIL: 0, INDETERMINATE: 0}
     witnesses = []
-    cases = []
+    margins = []
     evaluations = 0
     for index, tf in enumerate(tfs):
         record = {"index": index, "kind": tf.kind, "params": tf.params}
@@ -475,8 +474,8 @@ def batch_verify(
             record.update(verdict=rep.verdict, margin=rep.margin)
             evaluations += rep.evaluations
         counts[record["verdict"]] += 1
-        cases.append(record)
+        margins.append(record["margin"])
         if record["verdict"] != PASS:
             witnesses.append(record)
-    margins = [case["margin"] for case in cases if not math.isnan(case["margin"])]
-    return BatchSummary(family, counts, min(margins, default=math.nan), witnesses, evaluations, cases)
+    worst = min((margin for margin in margins if not math.isnan(margin)), default=math.nan)
+    return BatchSummary(family, counts, worst, witnesses, evaluations)

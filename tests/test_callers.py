@@ -6,9 +6,12 @@ definition itself; names are matched by their text, not resolved.  A method
 that shares its name with a field or stored attribute of a class in
 ``src/`` is referenced only by a call ``.name(...)``, since reading the
 field looks the same as naming the method.  Every name a module of
-``src/hardylab`` imports is read in that module.  And every parameter with
+``src/hardylab`` imports is read in that module.  Every parameter with
 a default is passed, by position or keyword, by some call in ``src/`` or
-``perfbench/``: a default that no caller overrides is a constant."""
+``perfbench/``: a default that no caller overrides is a constant.  And
+every annotated field of a class in ``src/hardylab`` is read, as
+``.name`` in load context, somewhere in ``src/`` or ``perfbench/``: a field
+that nothing reads is work without a consumer."""
 
 import ast
 import math
@@ -219,4 +222,35 @@ def test_every_defaulted_parameter_in_src_is_passed_outside_tests():
     assert sorted(unset) == sorted(UNSET_ALLOWED), (
         "pass each parameter from src/ or perfbench/, or drop it and its default, "
         "or, once its ROADMAP item passes it, drop it from UNSET_ALLOWED"
+    )
+
+
+# Classes whose fields are read without naming them, and how.
+FIELD_READ_ALLOWED = {
+    "report.RunRecord": "emit_json serializes every field at once, by vars(record)",
+}
+
+
+def _fields():
+    """(class, field) of every annotated field of a class in ``src/hardylab``,
+    the class qualified by its module."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        yield f"{path.stem}.{node.name}", item.target.id
+
+
+def test_every_field_in_src_is_read():
+    read = {
+        node.attr for path in _caller_sources() for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [(cls, name) for cls, name in _fields() if name not in read]
+    assert [f"{cls}.{name}" for cls, name in unread if cls not in FIELD_READ_ALLOWED] == [], (
+        "read each field in src/ or perfbench/, or delete it"
+    )
+    assert {cls for cls, _ in unread} >= set(FIELD_READ_ALLOWED), (
+        "drop a class from FIELD_READ_ALLOWED once every field of it is read by name"
     )

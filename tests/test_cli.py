@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from hardylab import cli, sharpness
+from hardylab import cli, sharpness, verify
 from hardylab.cli import (
     EXIT_INDETERMINATE,
     EXIT_MATH,
@@ -444,6 +444,15 @@ def test_instance_keys_keep_their_case(tmp_path):
     assert record.instance["domain"] == [-0.5, 0.5]
 
 
+def test_a_configured_domain_reads_the_preset_numbers(tmp_path):
+    out = tmp_path / "out"
+    cfg = _write_config(
+        tmp_path, f"[instance]\npreset = cor51\nM = 3\ndomain = -M/2, M/2\n[output]\ndir = {out}\n"
+    )
+    assert main(["check", "--config", cfg]) == EXIT_OK
+    assert parse_json((out / "check.json").read_bytes()).instance["domain"] == [-1.5, 1.5]
+
+
 @pytest.mark.parametrize("command", ["check", "verify"])
 def test_cor64_minorant_from_file_rejected_by_check_and_verify(tmp_path, capsys, command):
     # u = x and a*beta - 2(p-1) - A < 0 for A = 100: only the closed-form
@@ -587,6 +596,10 @@ def test_bad_count_seed_and_max_ratio_exit_2_from_load_config(tmp_path, section,
         "preset = cor53\nalpha = nan",
         "preset = constp\nalpha = 0",  # the default sigma = 1 - 1/(2 alpha) divides by zero
         "preset = cor64\np = 2+sigma*x\nsigma = 0.5",  # cor64's sigma is a formula, not a key
+        "preset = cor55\ndomain = -INF, 1",  # spellings that only Python's float reads
+        "preset = cor55\ndomain = 0, Infinity",
+        "preset = cor55\ndomain = 0, 1_000",
+        "preset = cor55\ndomain = 0, x",  # an end that is not constant
     ],
 )
 def test_bad_instance_value_exits_2(tmp_path, capsys, body):
@@ -669,7 +682,7 @@ def test_verify_refuses_a_vacuous_instance(tmp_path, capsys):
     assert not (out / "verify.json").exists()
 
 
-def test_verify_record_names_the_family_each_batch_drew_from(tmp_path):
+def test_verify_record_names_the_family_each_batch_drew_from(tmp_path, monkeypatch):
     # Caccioppoli batches draw power bumps whatever family is configured
     out = tmp_path / "out"
     assert main(["reproduce", "cor51", "--out", str(out)]) == EXIT_OK
@@ -678,9 +691,11 @@ def test_verify_record_names_the_family_each_batch_drew_from(tmp_path):
     assert {kind: batch["family"] for kind, batch in payload["batches"].items()} == {
         "caccioppoli": "power_bump", "hardy": "mixed",
     }
+    real, drawn = verify.random_test_function, []
+    monkeypatch.setattr(verify, "random_test_function", lambda *args: drawn.append(real(*args)) or drawn[-1])
     summary = batch_verify(preset("cor51"), "mixed", 6, 7, which="caccioppoli")
     assert summary.family == "power_bump"
-    assert {case["kind"] for case in summary.cases} == {"power-bump"}
+    assert len(drawn) == 6 and {tf.kind for tf in drawn} == {"power-bump"}
 
 
 def test_each_witness_names_the_family_it_was_drawn_from(tmp_path):

@@ -1,9 +1,11 @@
 """Seeded end-to-end fuzz of the CLI: no config may end in a traceback.
 
-Each draw is one INI over a preset row of ``instance._PRESETS`` (``raw`` on
-``(0, inf)``), with ``[verification] count = 4``; ``check``, ``verify`` and
-``scan`` run on it in-process and must each return a documented exit code.
-A larger sweep runs by hand::
+Each draw is one INI, with ``[verification] count = 4``: either over a
+preset row of ``instance._PRESETS`` (``raw`` on ``(0, inf)``), or a ``raw``
+instance whose keys are random trees over every node kind of
+``expr._KINDS``.  ``check``, ``verify`` and ``scan`` run on it in-process
+and must each return a documented exit code.  A larger sweep over both
+kinds of draw runs by hand::
 
     PYTHONPATH=src python tests/test_cli_fuzz.py SEED DRAWS
 
@@ -19,7 +21,10 @@ from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from hardylab.cli import EXIT_INDETERMINATE, EXIT_MATH, EXIT_OK, EXIT_USAGE, main
+from hardylab.expr import _ARITY, _KINDS, X, Expr, const, to_string
 from hardylab.instance import _PRESETS
 
 PRESETS = ("constp", "cor53", "cor54", "cor55", "cor64", "raw")
@@ -64,6 +69,31 @@ def draw(rng) -> str:
     return "[instance]\n" + "\n".join(lines) + "\n[verification]\ncount = 4\n"
 
 
+def tree(rng, depth: int = 3) -> Expr:
+    """A random tree of depth at most ``depth``: each node of any kind of
+    ``expr._KINDS``, each leaf ``x`` or a constant in [-3, 3]."""
+    if depth == 0 or rng.random() < 0.3:
+        return X if rng.random() < 0.5 else const(round(rng.uniform(-3.0, 3.0), 3))
+    kind = rng.choice(list(_KINDS))
+    arity = _ARITY.get(kind, 1 if kind == "neg" else 2)
+    return Expr(kind, tuple(tree(rng, depth - 1) for _ in range(arity)))
+
+
+def draw_tree(rng) -> str:
+    """One ``raw`` INI ``[instance]`` section whose keys are random trees,
+    bare or inside one of the forms below."""
+    t = lambda: to_string(tree(rng))
+    p = rng.choice([lambda: f"1.5 + abs({t()})/(1 + abs({t()}))", t, lambda: f"2 + {t()}", lambda: "2"])
+    u = rng.choice([lambda: f"({t()})^2", lambda: f"exp({t()})", lambda: f"abs({t()})",
+                    lambda: f"1/(1+({t()})^2)", t, lambda: "x"])
+    domain = rng.choice(["0, inf", "0, 1", "-1, 1", "0.1, 10", "-inf, inf", "-inf, 0", "1, inf"])
+    phi = rng.choice([lambda: "auto", t])
+    return (
+        f"[instance]\npreset = raw\ndomain = {domain}\np = {p()}\nu = {u()}\nsigma = {t()}\n"
+        f"phi = {phi()}\nbeta = {rng.uniform(0.5, 6.0):.6g}\n[verification]\ncount = 4\n"
+    )
+
+
 def write(instance: str, directory: Path) -> str:
     """The path of one drawn config, with its output under ``directory``."""
     cfg = directory / "lab.ini"
@@ -71,15 +101,45 @@ def write(instance: str, directory: Path) -> str:
     return str(cfg)
 
 
-def test_no_drawn_config_ends_in_a_traceback(tmp_path):
+def _exit_codes_are_documented(drawer, tmp_path):
     rng = random.Random(0)
     for i in range(DRAWS):
-        instance = draw(rng)
+        instance = drawer(rng)
         directory = tmp_path / str(i)
         directory.mkdir()
         cfg = write(instance, directory)
         codes = {command: main([command, "--config", cfg]) for command in COMMANDS}
         assert set(codes.values()) <= EXIT_CODES, (instance, codes)
+
+
+def test_no_drawn_config_ends_in_a_traceback(tmp_path):
+    _exit_codes_are_documented(draw, tmp_path)
+
+
+def test_no_random_tree_config_ends_in_a_traceback(tmp_path):
+    _exit_codes_are_documented(draw_tree, tmp_path)
+
+
+# Random-tree draws on which brentq did not converge in a bracketing cell,
+# which SciPy raised as a RuntimeError through every command: a kink
+# generator of raw's automatic phi, and the sign change of u's abs argument
+# at 1, where it crosses zero with zero slope.
+PINNED = [
+    ("[instance]\npreset = raw\ndomain = 0, inf\n"
+     "p = 1.5 + abs(abs(2.367 + abs(x)))/(1 + abs((min(x, x) - x) * abs(-0.53)))\n"
+     "u = 1/(1+(abs(x + -2.931) ^ (-x))^2)\nsigma = (x * x + -1.751) * min(exp(x), -x)\n"
+     "beta = 0.7873\n[verification]\ncount = 4\n",
+     {"check": EXIT_MATH, "verify": EXIT_MATH, "scan": EXIT_MATH}),
+    ("[instance]\npreset = raw\ndomain = -inf, inf\np = 2\nu = abs(log(x) * abs(log(x)))\n"
+     "sigma = 0.269\nphi = abs(-2.684)\nbeta = 2.071\n[verification]\ncount = 4\n",
+     {"check": EXIT_INDETERMINATE, "verify": EXIT_INDETERMINATE, "scan": EXIT_MATH}),
+]
+
+
+@pytest.mark.parametrize("instance, codes", PINNED, ids=["auto-phi-kink", "u-zero-slope"])
+def test_a_bracket_brentq_does_not_converge_in_ends_in_an_exit_code(tmp_path, instance, codes):
+    cfg = write(instance, tmp_path)
+    assert {command: main([command, "--config", cfg]) for command in COMMANDS} == codes
 
 
 if __name__ == "__main__":
@@ -88,7 +148,7 @@ if __name__ == "__main__":
     counts = {command: Counter() for command in COMMANDS}
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(draws):
-            instance = draw(rng)
+            instance = rng.choice((draw, draw_tree))(rng)
             directory = Path(tmp) / str(i)
             directory.mkdir()
             cfg = write(instance, directory)

@@ -355,6 +355,15 @@ def test_zero_scan_brackets_a_crossing_of_tiny_values():
     assert scan.suspected == []
 
 
+def test_zero_scan_suspects_a_bracketed_zero_brentq_does_not_converge_on():
+    # log(x)*abs(log(x)) crosses zero at 1 with zero slope: brentq stops after
+    # its 100 iterations in the cell [0.984375, 1.015625], whose midpoint is
+    # suspected, as is the near-zero of |fn| that the dip search refines
+    scan = zero_scan(parse("log(x)*abs(log(x))"), Interval(-math.inf, math.inf))
+    assert scan.points == []
+    assert 1.0 in scan.suspected and all(abs(p - 1.0) < 1e-9 for p in scan.suspected)
+
+
 def test_zero_scan_reports_only_the_ends_of_a_run_of_exact_zeros():
     # nothing inside a run of exact zeros breaks smoothness
     iv = Interval(0, 1)
