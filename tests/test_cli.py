@@ -600,6 +600,7 @@ def test_bad_count_seed_and_max_ratio_exit_2_from_load_config(tmp_path, section,
         "preset = cor55\ndomain = 0, Infinity",
         "preset = cor55\ndomain = 0, 1_000",
         "preset = cor55\ndomain = 0, x",  # an end that is not constant
+        "preset = cor55\ndomain = 0, max(1, 2)",  # every comma separates two ends
     ],
 )
 def test_bad_instance_value_exits_2(tmp_path, capsys, body):
