@@ -258,13 +258,13 @@ def weak_pdi_residual(inst: HardyInstance, w) -> float:
         upv = up_fn(x)
         if upv == 0.0:
             return 0.0
-        dwv = w.derivative(x)
+        dwv = w.df(x)
         if dwv == 0.0:
             return 0.0
         return math.copysign(abs(upv) ** (p_fn(x) - 1.0), upv) * dwv
 
     def rhs_integrand(x):
-        wv = w(x)
+        wv = w.f(x)
         if wv == 0.0:
             return 0.0
         return phi_fn(x) * wv

@@ -59,11 +59,10 @@ class TestFunction:
     """Compactly supported Lipschitz function with an explicit derivative.
 
     ``edge_exponent`` is the decay rate at the support boundary; it controls
-    which inequalities the function is admissible for.  Called directly, the
-    function and :meth:`derivative` evaluate to exactly 0 outside the
-    support.  ``_f`` and ``_df`` are the scalar forms that integrands call,
-    only strictly inside the support; ``_f_grid`` takes a float array of
-    points inside the support, for sampling grids.  The built-in families
+    which inequalities the function is admissible for.  ``f`` and ``df`` are
+    the scalar forms of the function and its derivative, and ``f_grid`` takes
+    a float array of points; all three are called only strictly inside the
+    support.  The built-in families
     are nonnegative and Lipschitz for every parameter their constructors
     accept, so only :func:`from_expr` samples its function.
     """
@@ -72,20 +71,10 @@ class TestFunction:
     support: Interval
     edge_exponent: float
     params: dict
-    _f: callable = field(repr=False)
-    _df: callable = field(repr=False)
-    _f_grid: callable = field(repr=False)
+    f: callable = field(repr=False)
+    df: callable = field(repr=False)
+    f_grid: callable = field(repr=False)
     split_points: tuple = ()
-
-    def __call__(self, x: float) -> float:
-        if not self.support.lo < x < self.support.hi:
-            return 0.0
-        return self._f(x)
-
-    def derivative(self, x: float) -> float:
-        if not self.support.lo < x < self.support.hi:
-            return 0.0
-        return self._df(x)
 
 
 def _support(kind: str, m: float, r: float) -> Interval:
@@ -272,8 +261,8 @@ def _tlogt_view(tf: TestFunction) -> Integrand:
     # crosses 1, so those crossings become quadrature splits (a touch of 1
     # leaves it smooth)
     xs = tf.support.midpoint_array(TEST_GRID)
-    crossings, _ = _bracketed_zeros(lambda x: tf._f(x) - 1.0, xs, tf._f_grid(xs) - 1.0)
-    return Integrand(tf._f, tf.support, tuple(sorted({*tf.split_points, *crossings})), tlogt=True)
+    crossings, _ = _bracketed_zeros(lambda x: tf.f(x) - 1.0, xs, tf.f_grid(xs) - 1.0)
+    return Integrand(tf.f, tf.support, tuple(sorted({*tf.split_points, *crossings})), tlogt=True)
 
 
 def _with_retry(run, tol: float) -> VerificationReport:
@@ -342,12 +331,12 @@ return exp(log_total)
 def _caccioppoli_integrand(inst, phi):
     """The gradient-side Caccioppoli integrand, generated around phi's scalar forms."""
     trees = (inst.vp.p, inst.u, inst.u_prime, const(inst.beta), inst.sigma)
-    return compile_integrand(_CACCIOPPOLI_RHS, trees)(phi._f, phi._df)
+    return compile_integrand(_CACCIOPPOLI_RHS, trees)(phi.f, phi.df)
 
 
 def _run_caccioppoli(inst, phi, mu1, tol, tol_abs):
     # the left side is the modular of phi >= 0 at the exponent 1 against mu1
-    lhs = modular(Integrand(phi._f, phi.support, phi.split_points),
+    lhs = modular(Integrand(phi.f, phi.support, phi.split_points),
                   VariableExponent(const(1.0), inst.domain, 1.0, 1.0), mu=mu1, tol=tol, tol_abs=tol_abs)
     rhs = integrate(_caccioppoli_integrand(inst, phi), phi.support,
                     split_at=sorted({*mu1.split_points, *phi.split_points}),
@@ -368,9 +357,9 @@ def verify_hardy(inst: HardyInstance, xi: TestFunction, tol: float = DEFAULT_TOL
 
 
 def _run_hardy(inst, xi, mu1, mu2, tol, tol_abs):
-    lhs = modular(Integrand(xi._f, xi.support, xi.split_points), inst.vp, mu=mu1,
+    lhs = modular(Integrand(xi.f, xi.support, xi.split_points), inst.vp, mu=mu1,
                   tol=tol, tol_abs=tol_abs)
-    rhs_main = modular(Integrand(xi._df, xi.support, xi.split_points), inst.vp, mu=mu2,
+    rhs_main = modular(Integrand(xi.df, xi.support, xi.split_points), inst.vp, mu=mu2,
                        tol=tol, tol_abs=tol_abs)
     mu3 = log_measure(inst)
     rhs_log = ZERO_RESULT if mu3 is None else modular(

@@ -153,7 +153,7 @@ def caccioppoli_integrands(inst: HardyInstance, phi, mu1: WeightedMeasure):
     u_fn = compile_fn(inst.u)
     up_fn = compile_fn(inst.u_prime)
     beta = inst.beta
-    f, df = phi._f, phi._df
+    f, df = phi.f, phi.df
 
     def lhs_integrand(x):
         v = f(x)

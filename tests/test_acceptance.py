@@ -240,7 +240,7 @@ def test_criterion_8_divergence_guard():
         rejected = True
 
     p = 3.0
-    raw = lambda x: abs(w.derivative(x)) ** p * w(x) ** (1.0 - p)
+    raw = lambda x: abs(w.df(x)) ** p * w.f(x) ** (1.0 - p)
     r = integrate(raw, w.support, split_at=[0.0], endpoint_singular=(True, True))
     diverged = r.status == STATUS_DIVERGENT
     _conclude(

@@ -248,7 +248,7 @@ def test_grid_forms_match_scalar_forms(build, ulps):
     tf = build()
     splits = [x for x in tf.split_points if tf.support.contains(x)]
     xs = np.concatenate([tf.support.midpoint_array(997), splits])
-    _assert_close(tf._f_grid(xs), np.array([tf._f(float(x)) for x in xs]), ulps)
+    _assert_close(tf.f_grid(xs), np.array([tf.f(float(x)) for x in xs]), ulps)
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +295,21 @@ def test_exponent_grid_makes_few_scalar_calls(monkeypatch):
 
 def test_test_function_validation_makes_no_scalar_calls(monkeypatch):
     calls = []
-    for name in ("__call__", "derivative"):
-        real = getattr(verify.TestFunction, name)
 
-        def counting(self, x, real=real):
-            calls.append(x)
-            return real(self, x)
+    class Counting(verify.TestFunction):
+        # counts every scalar call made on the test function once it is built
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            for name in ("f", "df"):
+                real = getattr(self, name)
 
-        monkeypatch.setattr(verify.TestFunction, name, counting)
+                def counting(x, real=real):
+                    calls.append(x)
+                    return real(x)
+
+                setattr(self, name, counting)
+
+    monkeypatch.setattr(verify, "TestFunction", Counting)
     verify.power_bump(0.0, 0.5, 1.0, 3.0)
     verify.spline_bump(Interval(0, 1), [0.5, 0.9])
     assert len(calls) < 0.05 * verify.TEST_GRID

@@ -64,12 +64,12 @@ def test_hardy_integrands_match_closures(name):
         tf = verify.random_test_function(inst, rng, family)
         xs = _points(inst, tf)
         pairs = [
-            (Integrand(tf._f, tf.support), mu1, tf._f),
-            (Integrand(tf._df, tf.support), mu2, tf._df),
-            (Integrand(tf._f, tf.support), None, tf._f),
+            (Integrand(tf.f, tf.support), mu1, tf.f),
+            (Integrand(tf.df, tf.support), mu2, tf.df),
+            (Integrand(tf.f, tf.support), None, tf.f),
         ]
         if mu_log is not None:
-            pairs.append((Integrand(tf._f, tf.support, tlogt=True), mu_log, tlogt(tf._f)))
+            pairs.append((Integrand(tf.f, tf.support, tlogt=True), mu_log, tlogt(tf.f)))
         for f, mu, fn in pairs:
             _assert_same(modular_integrand(f, p, mu), reference_integrand(fn, p, mu), xs)
 
@@ -85,14 +85,14 @@ def _assert_caccioppoli_left_side(inst, phi, mu1, inside, elsewhere):
     # phi gives |phi| times the density in place of phi times it, and a NaN
     # or infinite phi where the indicator fails gives ``base * 0.0`` (NaN) in
     # place of 0.0.
-    generated = modular_integrand(Integrand(phi._f, Interval(-math.inf, math.inf)), const(1.0), mu1)
+    generated = modular_integrand(Integrand(phi.f, Interval(-math.inf, math.inf)), const(1.0), mu1)
     old_lhs = caccioppoli_integrands(inst, phi, mu1)[0]
     density = compile_fn(mu1.density)
     for x in inside:
         if _outcome(generated, x) != _outcome(old_lhs, x):
             d = density(x)
             assert generated(x) == old_lhs(x) == 0.0 == d and math.copysign(1.0, d) < 0.0, x
-    _assert_same(generated, reference_integrand(phi._f, const(1.0), mu1), [*inside, *elsewhere])
+    _assert_same(generated, reference_integrand(phi.f, const(1.0), mu1), [*inside, *elsewhere])
 
 
 @pytest.mark.parametrize("name", COROLLARIES)
@@ -167,7 +167,7 @@ def test_caccioppoli_short_cuts_match_closures(mu1):
         vp=SimpleNamespace(p=parse("1.5 + 2 * x")), u=parse("x + 1"),
         u_prime=parse("log(x + 1.05)"), beta=2.0, sigma=parse("3 * x"),
     )
-    phi = SimpleNamespace(_f=compile_fn(parse("4 - x * x")), _df=compile_fn(parse("0 - 2 * x")))
+    phi = SimpleNamespace(f=compile_fn(parse("4 - x * x")), df=compile_fn(parse("0 - 2 * x")))
     xs = [i / 40 for i in range(-48, 49)] + [-1.05, -0.05, 2 / 3]
     _assert_same(
         verify._caccioppoli_integrand(inst, phi), caccioppoli_integrands(inst, phi, mu1)[1],

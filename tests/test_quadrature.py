@@ -71,7 +71,7 @@ def test_power_bump_modular_meets_its_bound(center, reach, height, p):
     k = math.ceil(p) + 1.0
     xi = power_bump(center, r, height, k)
     vp = VariableExponent(const(p), Interval(0.0, 1.0), p, p)
-    result = modular(Integrand(xi._f, xi.support, xi.split_points), vp)
+    result = modular(Integrand(xi.f, xi.support, xi.split_points), vp)
     assert result.status == STATUS_CONVERGED
     exact = height ** p * r * beta(0.5, k * p + 1.0)
     rounding = 2.0 * sys.float_info.epsilon * (center + r) * height ** p

@@ -91,7 +91,7 @@ def test_support_ends_inside_the_domain_end_gauss_kronrod_panels(tanh_sinh_panel
     # xi and xi' are finite at the ends of a support inside the domain
     vp = validate_exponent(parse("x+2"), Interval(0, 1))
     xi = power_bump(0.4, 0.2, 1.5, 4.0)
-    for fn in (xi._f, xi._df):
+    for fn in (xi.f, xi.df):
         assert modular(Integrand(fn, xi.support, xi.split_points), vp).status == STATUS_CONVERGED
     ends = (xi.support.lo, xi.support.hi)
     assert [panel for panel in tanh_sinh_panels if panel[0] in ends or panel[1] in ends] == []

@@ -88,32 +88,35 @@ def test_invalid_scalar_arguments():
 
 def test_power_bump_shape():
     tf = power_bump(0.0, 0.5, 2.0, 3.0)
-    assert tf(0.0) == 2.0
-    assert tf(0.5) == 0.0
-    assert tf(0.7) == 0.0
-    assert tf.derivative(0.7) == 0.0
-    assert tf.derivative(0.1) == pytest.approx(-tf.derivative(-0.1))
+    assert tf.support == Interval(-0.5, 0.5)
+    assert tf.f(0.0) == 2.0
+    assert 0.0 < tf.f(0.5 - 1e-6) < 1e-15
+    assert tf.df(0.1) == pytest.approx(-tf.df(-0.1))
 
 
 def test_tent_shape():
     tf = tent(0.0, 1.0, 1.0)
-    assert tf(0.0) == 1.0
-    assert tf(0.5) == 0.5
-    assert tf.derivative(0.3) == -1.0
-    assert tf.derivative(-0.3) == 1.0
+    assert tf.support == Interval(-1.0, 1.0)
+    assert tf.f(0.0) == 1.0
+    assert tf.f(0.5) == 0.5
+    assert tf.df(0.3) == -1.0
+    assert tf.df(-0.3) == 1.0
     assert tf.edge_exponent == 1.0
 
 
 def test_spline_bump_nonnegative_and_clamped():
     rng = np.random.default_rng(0)
     tf = spline_bump(Interval(0, 1), rng.uniform(0.2, 1.0, size=4))
-    xs = np.linspace(0, 1, 200)
-    assert all(tf(float(x)) >= 0 for x in xs)
-    assert tf(0.0) == 0.0 and tf(1.0) == 0.0
+    assert tf.support == Interval(0, 1)
+    xs = tf.support.midpoint_array(200)
+    assert all(tf.f(float(x)) >= 0 for x in xs)
+    # value and slope vanish at both ends, so the square falls off as (x - end)^4
+    for near, far in ((1e-4, 1e-3), (1.0 - 1e-4, 1.0 - 1e-3)):
+        assert tf.f(near) / tf.f(far) == pytest.approx(1e-4, rel=0.01)
     h = 1e-7
     for x in (0.25, 0.6):
-        fd = (tf(x + h) - tf(x - h)) / (2 * h)
-        assert tf.derivative(x) == pytest.approx(fd, abs=1e-5)
+        fd = (tf.f(x + h) - tf.f(x - h)) / (2 * h)
+        assert tf.df(x) == pytest.approx(fd, abs=1e-5)
 
 
 def _scipy_spline(support, values):
@@ -134,11 +137,8 @@ def test_spline_bump_scalar_path_equals_scipy(n):
     points += [float(x) for x in knots] + [support.lo, support.hi]
     for x in points:
         v = float(s(x))
-        assert tf._f(x) == v * v
-        assert tf._df(x) == 2.0 * v * float(ds(x))
-        if support.lo < x < support.hi:
-            assert tf(x) == v * v
-            assert tf.derivative(x) == 2.0 * v * float(ds(x))
+        assert tf.f(x) == v * v
+        assert tf.df(x) == 2.0 * v * float(ds(x))
 
 
 def test_spline_scalar_path_extrapolates_like_scipy():
@@ -147,7 +147,7 @@ def test_spline_scalar_path_extrapolates_like_scipy():
     tf = spline_bump(support, values)
     for x in (-3.0, -1e-300, 0.0, 2.0, 2.5, 1e300, -math.inf, math.inf, math.nan):
         v = float(s(x))
-        for got, want in ((tf._f(x), v * v), (tf._df(x), 2.0 * v * float(ds(x)))):
+        for got, want in ((tf.f(x), v * v), (tf.df(x), 2.0 * v * float(ds(x)))):
             assert got == want or math.isnan(got) and math.isnan(want), x
 
 
@@ -382,25 +382,20 @@ def test_sharpness_ratio_makes_one_pass(distance_instance, monkeypatch):
 
 
 def _inside_only(tf):
-    """``tf`` with scalar forms that fail when called on or outside the support."""
+    """``tf`` with evaluation forms that fail when called on or outside the support."""
     lo, hi = tf.support.lo, tf.support.hi
 
     def guard(fn):
         def checked(x):
-            assert lo < x < hi, (tf.kind, x)
+            assert np.all((lo < x) & (x < hi)), (tf.kind, x)
             return fn(x)
         return checked
 
-    tf._f, tf._df = guard(tf._f), guard(tf._df)
+    tf.f, tf.df, tf.f_grid = guard(tf.f), guard(tf.df), guard(tf.f_grid)
     return tf
 
 
 def test_integrands_call_test_functions_only_inside_their_support(monkeypatch):
-    def outside_api(self, x):
-        raise AssertionError("an integrand called the public TestFunction API")
-
-    monkeypatch.setattr(verify.TestFunction, "__call__", outside_api)
-    monkeypatch.setattr(verify.TestFunction, "derivative", outside_api)
     draw = verify.random_test_function
     monkeypatch.setattr(
         verify, "random_test_function", lambda *args: _inside_only(draw(*args))
@@ -424,7 +419,7 @@ def test_divergence_guard_tent_raw_quadrature():
     p = 3.0
 
     def raw(x):
-        return abs(w.derivative(x)) ** p * w(x) ** (1.0 - p)
+        return abs(w.df(x)) ** p * w.f(x) ** (1.0 - p)
 
     r = integrate(raw, w.support, split_at=[0.0], endpoint_singular=(True, True))
     assert r.status == STATUS_DIVERGENT
@@ -432,15 +427,13 @@ def test_divergence_guard_tent_raw_quadrature():
 
 def test_from_expr_values_and_params():
     xi = from_expr(parse("(x*(1-x))^2"), Interval(0, 1), 2.0)
-    assert xi(0.5) == pytest.approx(0.0625, rel=1e-15)
+    assert xi.f(0.5) == pytest.approx(0.0625, rel=1e-15)
     # d/dx (x(1-x))^2 = 2 x (1-x) (1-2x)
-    assert xi.derivative(0.25) == pytest.approx(0.1875, rel=1e-15)
+    assert xi.df(0.25) == pytest.approx(0.1875, rel=1e-15)
     assert xi.kind == "custom"
+    assert xi.support == Interval(0, 1)
     assert xi.edge_exponent == 2.0
     assert xi.params == {"expr": "(x * (1.0 - x)) ^ 2.0"}
-    for x in (-0.5, 0.0, 1.0, 1.5):
-        assert xi(x) == 0.0
-        assert xi.derivative(x) == 0.0
 
 
 def test_from_expr_rejects_negative_expression():
