@@ -4,8 +4,8 @@ The integration domain is partitioned at caller-supplied split points.
 Panels that touch a flagged singular endpoint (or that were produced by the
 infinite-endpoint transform ``x = t/(1-t)``, or that span a very wide dynamic
 range) are handled by double-exponential (tanh-sinh) quadrature; smooth
-panels use adaptive 7-15 Gauss-Kronrod refinement, whose error estimate is
-floored at QUADPACK's ``50 eps`` times the integral of ``|f|``.  Panel
+panels use adaptive 7-15 Gauss-Kronrod refinement.  Both rules floor their
+error bound at QUADPACK's ``50 eps`` times the integral of ``|f|``.  Panel
 results are summed in panel order, so results are deterministic.  Each
 tanh-sinh level reuses the integrand values of the coarser levels' nodes, so
 ``evaluations`` counts distinct integrand calls.  A flagged side's
@@ -199,6 +199,7 @@ def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
     prev = None
     value = 0.0
     err = math.inf
+    status = STATUS_MAX_DEPTH
 
     try:
         fx0 = f(a + half)  # t = 0 node (panel midpoint)
@@ -207,7 +208,6 @@ def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
     evals = 1
     if not math.isfinite(fx0):
         return fx0, abs(fx0), evals, STATUS_DIVERGENT
-    saw_nonzero = fx0 != 0.0
     # per side: origin, step (b + (-half)d == b - half*d), flag, and the
     # terms w * f by node index on the finest mesh
     sides = ((a, half, left_singular, {}), (b, -half, right_singular, {}))
@@ -239,7 +239,6 @@ def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
                         bad = math.inf if flagged else fx
                         return bad, abs(bad), evals, STATUS_DIVERGENT
                     term = terms[j] = w * fx
-                    saw_nonzero = saw_nonzero or term != 0.0
                 partial += term
                 if j >= _TAIL_J and abs(term) * contrib_scale < trunc:
                     small_streak += 1
@@ -255,15 +254,23 @@ def _tanh_sinh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
         value = total * contrib_scale
         if not math.isfinite(value):
             return value, abs(value), evals, STATUS_DIVERGENT
-        floor = 4.0 * trunc if saw_nonzero else 0.0
         if prev is not None:
             err = abs(value - prev)
-            budget = max(tol_abs, tol_rel * abs(value))
-            if err <= budget:
-                return value, max(err, floor), evals, STATUS_CONVERGED
+            if err <= max(tol_abs, tol_rel * abs(value)):
+                status = STATUS_CONVERGED
+                break
         prev = value
 
-    return value, max(err if math.isfinite(err) else abs(value), floor), evals, STATUS_MAX_DEPTH
+    # the bound's floor: four times the threshold the tails were cut at, and
+    # QUADPACK's roundoff floor on the sum of |w * f| over the kept nodes at
+    # the last level's scale; none where every term is 0
+    kept = itertools.chain((_NODES[0][1] * fx0,), *(terms.values() for *_, terms in sides))
+    try:
+        mass = math.fsum(map(abs, kept))
+    except OverflowError:
+        mass = math.inf
+    floor = max(4.0 * trunc, _GK_FLOOR * contrib_scale * mass) if mass else 0.0
+    return value, max(err if math.isfinite(err) else abs(value), floor), evals, status
 
 
 def _wide(a, b) -> bool:

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,13 +110,20 @@ def _value(f, x):
 
 def _tanh_sinh_every_level_afresh(f, a, b, left_singular, right_singular, tol_rel, tol_abs):
     """Reference: the tanh-sinh rule evaluating every node of every level
-    again, with nodes and weights computed per node."""
+    again, with nodes and weights computed per node.  The bound's floor sums
+    |w * f| over every node any level reached, at the last level's scale."""
     half = 0.5 * (b - a)
     trunc = max(1e-3 * tol_abs, 1e-280)
     prev = None
     value = 0.0
     err = math.inf
-    saw_nonzero = False
+    terms = {}  # w * f by (side, t), the centre's under (0, 0.0)
+
+    def bounded(status):
+        mass = math.fsum(abs(term) for term in terms.values())
+        floor = max(4.0 * trunc, quadrature._GK_FLOOR * contrib_scale * mass) if mass else 0.0
+        return value, max(err if math.isfinite(err) else abs(value), floor), status
+
     for level in range(10):
         h = 0.5 ** (level + 1)
         contrib_scale = h * half
@@ -123,8 +131,8 @@ def _tanh_sinh_every_level_afresh(f, a, b, left_singular, right_singular, tol_re
         fx0 = _value(f, a + half)
         if not math.isfinite(fx0):
             return fx0, abs(fx0), STATUS_DIVERGENT
-        total += quadrature._tanh_sinh_nodes(0.0)[1] * fx0
-        saw_nonzero = saw_nonzero or fx0 != 0.0
+        terms[0, 0.0] = quadrature._tanh_sinh_nodes(0.0)[1] * fx0
+        total += terms[0, 0.0]
         for side in (-1, +1):
             flagged = left_singular if side < 0 else right_singular
             partial = 0.0
@@ -149,7 +157,7 @@ def _tanh_sinh_every_level_afresh(f, a, b, left_singular, right_singular, tol_re
                     return fx, abs(fx), STATUS_DIVERGENT
                 term = w * fx
                 partial += term
-                saw_nonzero = saw_nonzero or term != 0.0
+                terms[side, t] = term
                 if level == 0 and flagged:
                     while next_mark <= 4.5 and t >= next_mark - 1e-12:
                         marks.append(abs(partial))
@@ -177,14 +185,12 @@ def _tanh_sinh_every_level_afresh(f, a, b, left_singular, right_singular, tol_re
         value = total * contrib_scale
         if not math.isfinite(value):
             return value, abs(value), STATUS_DIVERGENT
-        floor = 4.0 * trunc if saw_nonzero else 0.0
         if prev is not None:
             err = abs(value - prev)
             if err <= max(tol_abs, tol_rel * abs(value)):
-                return value, max(err, floor), STATUS_CONVERGED
+                return bounded(STATUS_CONVERGED)
         prev = value
-    floor = 4.0 * trunc if saw_nonzero else 0.0
-    return value, max(err if math.isfinite(err) else abs(value), floor), STATUS_MAX_DEPTH
+    return bounded(STATUS_MAX_DEPTH)
 
 
 @pytest.mark.parametrize(
@@ -210,6 +216,54 @@ def test_exponential_tail_on_half_line():
     r = integrate(lambda x: math.exp(-x), Interval(0, math.inf))
     assert r.status == STATUS_CONVERGED
     assert r.value == pytest.approx(1.0, abs=1e-9)
+
+
+def test_tanh_sinh_bound_covers_the_roundoff_of_an_exponential_tail():
+    # the value is 2.3e-14 from 1/lam, beyond the last two levels' difference
+    # of 1.4e-14; QUADPACK's floor 50 eps * the integral of |f| covers it
+    lam = 0.015606312758709223
+    r = integrate(lambda x: math.exp(-lam * x), Interval(0, math.inf))
+    assert (r.value, r.status) == (64.07663459403264, STATUS_CONVERGED)
+    with mpmath.workdps(40):
+        assert abs(r.value - 1 / mpmath.mpf(lam)) <= r.error_bound < 1e-12
+
+
+def test_tanh_sinh_bound_is_inf_where_the_sum_of_term_sizes_overflows():
+    # the signed sum stays finite, the sum of |w * f| does not: no bound
+    value, err, _, _ = quadrature._tanh_sinh(
+        lambda x: 1e307 * math.cos(50.0 * x), 0.0, 1.0, False, False, 1e-8, 1e-12)
+    assert math.isfinite(value) and err == math.inf
+
+
+def _exponential_tail_within_bound(lam, lo, tol, flagged):
+    r = integrate(lambda x: math.exp(-lam * x), Interval(lo, math.inf),
+                  endpoint_singular=(flagged, False), tol=tol)
+    with mpmath.workdps(40):
+        exact = mpmath.exp(-mpmath.mpf(lam) * lo) / lam
+        return r.status != STATUS_CONVERGED or abs(r.value - exact) <= r.error_bound
+
+
+# Derandomized: about 1 draw in 2,000 misses its bound, where two tanh-sinh
+# levels agree by chance (pinned below), so a random run would fail now and then.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    lam=st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e),
+    lo=st.one_of(st.just(0.0), st.floats(0.0, 5.0, exclude_min=True, exclude_max=True)),
+    tol=st.sampled_from([1e-8, 1e-6, 1e-4]),
+    flagged=st.booleans(),
+)
+def test_converged_exponential_tail_lies_within_its_bound(lam, lo, tol, flagged):
+    assert _exponential_tail_within_bound(lam, lo, tol, flagged)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: two tanh-sinh levels agree by chance")
+@pytest.mark.parametrize("lam, lo, tol", [
+    (2.714231065338951, 0.0, 1e-4),  # 0.36841639217639455 +- 5.2e-7, off by 1.2e-5
+    (0.485401283898208, 0.0, 1e-6),  # 2.0601508009865315 +- 1.6e-7, off by 3.2e-7
+    (79.04041594516109, 0.19234380999830325, 1e-8),  # 3.16e-9 +- 9.4e-13, off by 2.7e-12
+])
+def test_exponential_tail_where_the_level_difference_underestimates(lam, lo, tol):
+    assert _exponential_tail_within_bound(lam, lo, tol, False)
 
 
 def test_nonintegrable_power_is_divergent_suspected():
