@@ -62,9 +62,9 @@ class TestFunction:
     which inequalities the function is admissible for.  ``f`` and ``df`` are
     the scalar forms of the function and its derivative, and ``f_grid`` takes
     a float array of points; all three are called only strictly inside the
-    support.  The built-in families
-    are nonnegative and Lipschitz for every parameter their constructors
-    accept, so only :func:`from_expr` samples its function.
+    support.  The built-in families are nonnegative and Lipschitz for every
+    parameter their constructors accept, so only :func:`from_expr` samples
+    its function.
     """
 
     kind: str

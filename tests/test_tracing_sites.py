@@ -9,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from hardylab.expr import Interval
 from hardylab.instance import preset
+from hardylab.quadrature import integrate
 from hardylab.sharpness import WIDTHS, scan
+from hardylab.verify import power_bump, spline_bump, verify_caccioppoli, verify_hardy
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -40,6 +43,21 @@ def test_traced_scan_info_reads_the_trace(tracing):
     assert tracing._info("sharpness.scan", (), result) == [len(WIDTHS), result.best_ratio]
     assert result.best_ratio <= 1.10
     assert result.verdict == "sharp"
+
+
+def test_traced_case_and_integral_info_read_the_results(tracing):
+    # the verify.verdict.*, verify.retry_frac, input.* and quadrature.status.*
+    # metrics come from these
+    varp = preset("cor51", M=1.0, p="2-exp(-x^2)", sigma="1", beta=2.0)
+    xi = spline_bump(Interval(-0.5, 0.6), [0.5, 0.9, 0.7])
+    info = tracing._info("verify.verify_hardy", (varp, xi), verify_hardy(varp, xi))
+    assert info == ["pass", False, "spline-bump", True]
+    constp = preset("cor51", M=1.0, p="2", sigma="1", beta=2.0)
+    phi = power_bump(0.0, 0.6, 1.0, 3.0)
+    info = tracing._info("verify.verify_caccioppoli", (constp, phi), verify_caccioppoli(constp, phi))
+    assert info == ["pass", False, "power-bump", False]
+    result = integrate(lambda x: x, Interval(0.0, 1.0))
+    assert tracing._info("quadrature.integrate", (), result) == [15, "converged"]
 
 
 def test_traced_scan_records_one_ratio_span_per_width(tracing):
